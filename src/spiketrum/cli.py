@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import chirp
@@ -16,47 +15,9 @@ from . import audio_io, decoder, encoder, itp, kernel_bank
 from .fixed_point import parse_qformat
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    input: str = None
-    output: str = None
-    sps: int = 16
-    threshold: float = 0.0
-    path: str = None
-    fixed: object = None
-    bank: str = None
-    codes: str = None
-    report: str = None
-    length: int = None
-    reference: str = None
-    dump: str = None
-    csv: str = None
-    seconds: float = None
-    amplitude: float = 0.5
-
-    @classmethod
-    def from_args(cls, args):
-        cfg = cls(**{name: value for name, value in vars(args).items()
-                     if name != "command"})
-        if cfg.fixed is not None:
-            cfg.fixed = parse_qformat(cfg.fixed)
-            if cfg.path == "fft":
-                raise ValueError("fixed-point mode uses the direct correlation "
-                                 "path; drop --path fft")
-            cfg.path = "direct"
-        return cfg
-
-    def encoder_config(self):
-        fixed = (self.fixed.int_bits, self.fixed.frac_bits) if self.fixed else None
-        return encoder.EncoderConfig(sps=self.sps, threshold=self.threshold,
-                                     path=self.path or "fft", fixed=fixed)
-
-
-def _load_bank(cfg):
-    if cfg.bank:
-        return kernel_bank.load_bank(cfg.bank)
+def _load_bank(args):
+    if args.bank:
+        return kernel_bank.load_bank(args.bank)
     return kernel_bank.build_bank()
 
 
@@ -68,19 +29,28 @@ def _write_spikes(spikes, path, bank, channel_map):
         itp.write_aer_text(spikes, path)
 
 
-def cmd_encode(cfg):
-    bank = _load_bank(cfg)
-    samples, _ = audio_io.read_wav(cfg.input, expected_rate=bank.sample_rate)
-    codes = encoder.encode_stream(samples, bank, cfg.encoder_config())
+def cmd_encode(args):
+    fixed = None
+    if args.fixed is not None:
+        if args.path is not None:
+            raise ValueError("--path does not apply with --fixed: the integer "
+                             "datapath has its own correlation")
+        fmt = parse_qformat(args.fixed)
+        fixed = (fmt.int_bits, fmt.frac_bits)
+    config = encoder.EncoderConfig(sps=args.sps, threshold=args.threshold,
+                                   path=args.path or "fft", fixed=fixed)
+    bank = _load_bank(args)
+    samples, _ = audio_io.read_wav(args.input, expected_rate=bank.sample_rate)
+    codes = encoder.encode_stream(samples, bank, config)
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
     spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)
-    _write_spikes(spikes, cfg.output, bank, channel_map)
-    if cfg.codes:
-        encoder.write_codes_csv(codes, cfg.codes)
-    if cfg.report:
+    _write_spikes(spikes, args.output, bank, channel_map)
+    if args.codes:
+        encoder.write_codes_csv(codes, args.codes)
+    if args.report:
         report = decoder.encoding_report(samples, codes, spikes, bank,
                                          channel_map, bank.sample_rate)
-        with open(cfg.report, "w") as fh:
+        with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     duration = len(samples) / bank.sample_rate
@@ -89,22 +59,22 @@ def cmd_encode(cfg):
     return 0
 
 
-def cmd_decode(cfg):
-    bank = _load_bank(cfg)
-    if cfg.input.endswith(".spka"):
-        spikes, file_rate, _ = itp.read_aer_binary(cfg.input)
+def cmd_decode(args):
+    bank = _load_bank(args)
+    if args.input.endswith(".spka"):
+        spikes, file_rate, _ = itp.read_aer_binary(args.input)
     else:
-        spikes, file_rate, _ = itp.read_aer(cfg.input)
+        spikes, file_rate, _ = itp.read_aer(args.input)
     if file_rate is not None and file_rate != bank.sample_rate:
         raise ValueError(f"spike file rate {file_rate:g} Hz does not match "
                          f"bank rate {bank.sample_rate:g} Hz")
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
     reference = None
-    if cfg.reference:
-        reference, _ = audio_io.read_wav(cfg.reference,
+    if args.reference:
+        reference, _ = audio_io.read_wav(args.reference,
                                          expected_rate=bank.sample_rate)
-    if cfg.length is not None:
-        length = cfg.length
+    if args.length is not None:
+        length = args.length
     elif reference is not None:
         length = len(reference)
     elif spikes:
@@ -112,50 +82,50 @@ def cmd_decode(cfg):
     else:
         raise ValueError("empty spike train: give --length for the output size")
     recon = decoder.reconstruct_from_spikes(spikes, bank, channel_map, length)
-    audio_io.write_wav(cfg.output, recon, bank.sample_rate)
+    audio_io.write_wav(args.output, recon, bank.sample_rate)
     report = {"spike_count": len(spikes), "output_samples": length,
               "snr_db": None}
     if reference is not None:
         span = min(len(reference), length)
         report["snr_db"] = decoder.snr_db(reference[:span], recon[:span])
         print(f"snr: {report['snr_db']:.2f} dB over {span} samples")
-    if cfg.report:
-        with open(cfg.report, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     print(f"wrote {length} samples from {len(spikes)} spikes")
     return 0
 
 
-def cmd_kernels(cfg):
+def cmd_kernels(args):
     bank = kernel_bank.build_bank()
-    kernel_bank.save_bank(bank, cfg.output)
-    if cfg.dump:
-        with open(cfg.dump, "w") as fh:
+    kernel_bank.save_bank(bank, args.output)
+    if args.dump:
+        with open(args.dump, "w") as fh:
             fh.write("kernel,center_freq_hz,sample,amplitude\n")
             for kernel in bank.kernels:
                 for i, value in enumerate(kernel.samples):
                     fh.write(f"{kernel.index},{kernel.center_freq:.6f},"
                              f"{i},{value:.9g}\n")
-    print(f"saved {bank.kernel_count} kernels to {cfg.output}")
+    print(f"saved {bank.kernel_count} kernels to {args.output}")
     return 0
 
 
-def cmd_sweep(cfg):
-    bank = _load_bank(cfg)
+def cmd_sweep(args):
+    bank = _load_bank(args)
     rate = bank.sample_rate
     duration = 5.0
     t = np.arange(int(duration * rate)) / rate
-    samples = cfg.amplitude * chirp(t, f0=bank.fmin, f1=bank.fmax,
+    samples = args.amplitude * chirp(t, f0=bank.fmin, f1=bank.fmax,
                                     t1=duration, method="logarithmic")
     config = encoder.EncoderConfig(sps=1, threshold=0.0, path="fft")
     codes = encoder.encode_stream(samples, bank, config)
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
     spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)
-    if cfg.output:
-        _write_spikes(spikes, cfg.output, bank, channel_map)
-    if cfg.csv:
-        with open(cfg.csv, "w") as fh:
+    if args.output:
+        _write_spikes(spikes, args.output, bank, channel_map)
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write("segment_time,winning_kernel\n")
             for code in codes:
                 seg_time = code.segment_index * bank.segment_length / rate
@@ -167,23 +137,23 @@ def cmd_sweep(cfg):
     return 0
 
 
-def cmd_bench(cfg):
-    bank = _load_bank(cfg)
-    if cfg.seconds is None or cfg.seconds <= 0:
+def cmd_bench(args):
+    bank = _load_bank(args)
+    if args.seconds <= 0:
         raise ValueError("no input: give --seconds > 0 for the corpus size")
     rng = np.random.default_rng(0)
-    samples = 0.5 * rng.uniform(-1.0, 1.0, int(cfg.seconds * bank.sample_rate))
+    samples = 0.5 * rng.uniform(-1.0, 1.0, int(args.seconds * bank.sample_rate))
     segments = -(-len(samples) // bank.segment_length)
     realtime = bank.sample_rate / bank.segment_length
-    paths = (cfg.path,) if cfg.path else ("direct", "fft")
+    paths = (args.path,) if args.path else ("direct", "fft")
     for path in paths:
-        config = encoder.EncoderConfig(sps=cfg.sps, threshold=0.0, path=path)
+        config = encoder.EncoderConfig(sps=args.sps, threshold=0.0, path=path)
         start = time.perf_counter()
         encoder.encode_stream(samples, bank, config)
         elapsed = time.perf_counter() - start
         throughput = segments / elapsed
         verdict = "met" if throughput >= realtime else "not met"
-        print(f"{path}: {throughput:.2f} segments/s at sps {cfg.sps} "
+        print(f"{path}: {throughput:.2f} segments/s at sps {args.sps} "
               f"(real-time needs {realtime:.2f}: {verdict})")
     return 0
 
@@ -213,7 +183,8 @@ def build_parser():
     encode.add_argument("--threshold", type=float, default=0.0,
                         help="feedback stop threshold on |s| (0 disables)")
     encode.add_argument("--path", choices=("direct", "fft"),
-                        help="correlation engine (default fft)")
+                        help="float correlation engine (default fft); "
+                             "not with --fixed")
     encode.add_argument("--fixed", metavar="Q<I>.<F>",
                         help="fixed-point mode in the given 34-bit format")
     encode.add_argument("--bank", help="kernel bank file (default: built in)")
@@ -255,8 +226,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return _HANDLERS[args.command](cfg)
+        return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

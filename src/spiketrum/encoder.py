@@ -105,32 +105,22 @@ def _circular_windows(data, length):
     return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(ext, length))
 
 
-def correlate_direct(buffer, kernel):
-    """Circular cross-correlation by sliding dot products.
-
-    r[u] = sum_t data[(u + t) mod 2048] * kernel[t], for every lag u.
-    """
-    return _circular_windows(buffer.data, len(kernel.samples)) @ kernel.samples
-
-
-def correlate_fft(buffer, kernel):
-    """Same correlation through the frequency domain.
-
-    Multiplying the buffer spectrum by the conjugate kernel spectrum and
-    transforming back yields the circular correlation at every lag at once.
-    """
-    return np.fft.irfft(np.fft.rfft(buffer.data) * np.conj(kernel.spectrum),
-                        n=FFT_SIZE)
-
-
 def correlate_all_direct(buffer, bank):
-    """Sliding-dot-product correlation against every kernel, one (40, 2048) pass."""
+    """Sliding-dot-product correlation against every kernel, one (40, 2048) pass.
+
+    r[m, u] = sum_t data[(u + t) mod 2048] * kernel_m[t], for every lag u.
+    This is the slow oracle the transform path is checked against.
+    """
     windows = _circular_windows(buffer.data, bank.kernel_length)
     return (windows @ bank.samples_matrix.T).T
 
 
 def correlate_all_fft(buffer, bank):
-    """Transform-path correlation against every kernel at once."""
+    """Transform-path correlation against every kernel at once.
+
+    Multiplying the buffer spectrum by the conjugate kernel spectra and
+    transforming back yields the circular correlation at every lag.
+    """
     spectrum = np.fft.rfft(buffer.data)
     return np.fft.irfft(spectrum[None, :] * bank.conj_spectra, n=FFT_SIZE, axis=1)
 
@@ -184,7 +174,13 @@ def encode_segment(buffer, bank, config):
 
 
 def _worker_count():
-    raw = os.environ.get("SPIKETRUM_THREADS", "1")
+    """SPIKETRUM_THREADS if set, else one worker per CPU this process may use."""
+    raw = os.environ.get("SPIKETRUM_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # platforms without CPU affinity
+            return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError as exc:
@@ -197,8 +193,13 @@ def encode_stream(samples, bank, config):
 
     Segments are independent, so with SPIKETRUM_THREADS > 1 they encode on
     a thread pool; results are concatenated in segment order either way and
-    the output is identical for any worker count.
+    the output is identical for any worker count. Non-finite samples are
+    rejected, naming the first one's index.
     """
+    samples = np.asarray(samples, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ValueError(f"non-finite sample {samples[bad[0]]} at index {bad[0]}")
     buffers = segment_stream(samples, bank.segment_length)
     if config.fixed is not None:
         from . import fixed_point  # deferred: fixed_point imports this module

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import Code, MAX_SHIFT
+from .encoder import Code, MAX_SHIFT, _circular_windows
 from .kernel_bank import FFT_SIZE
 
 _WIDTH = 34
@@ -230,11 +230,8 @@ def _correlate_raw_gemm(raw_data, tables, fmt, flag=None):
     is below 2**46 and float64 dot products are integer-exact.
     """
     length = tables.kernel_length
-    ext = np.concatenate([raw_data, raw_data[: length - 1]])
-    w_hi = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
-        (ext >> _SPLIT).astype(np.float64), length))
-    w_lo = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
-        (ext & _SPLIT_MASK).astype(np.float64), length))
+    w_hi = _circular_windows((raw_data >> _SPLIT).astype(np.float64), length)
+    w_lo = _circular_windows((raw_data & _SPLIT_MASK).astype(np.float64), length)
     p_hh = (w_hi @ tables.gemm_hi).astype(np.int64).T
     p_x = ((w_hi @ tables.gemm_lo) + (w_lo @ tables.gemm_hi)).astype(np.int64).T
     p_ll = (w_lo @ tables.gemm_lo).astype(np.int64).T
@@ -263,24 +260,6 @@ def _correlate_raw_fft(raw_data, tables, fmt, flag=None):
             return _correlate_raw_gemm(raw_data, tables, fmt, flag)
         rounded.append(snapped.astype(np.int64))
     return _combine_parts(*rounded, fmt, flag)
-
-
-def correlate_fixed(buffer, kernel, fmt=Q5_28):
-    """Fixed-point circular correlation of one buffer against one kernel.
-
-    Quantizes both operands, accumulates each lag exactly in a wide
-    integer, and rounds once per lag to the format. Returns raw values.
-    """
-    raw_data = to_fixed(buffer.data, fmt)
-    kernel_raw = to_fixed(kernel.samples, fmt)[None, :]
-    hi = (kernel_raw >> _SPLIT).astype(np.float64)
-    lo = (kernel_raw & _SPLIT_MASK).astype(np.float64)
-    tables = _FixedTables(kernel_raw=kernel_raw,
-                          gemm_hi=np.ascontiguousarray(hi.T),
-                          gemm_lo=np.ascontiguousarray(lo.T),
-                          spec_hi=np.conj(np.fft.rfft(hi, n=FFT_SIZE, axis=1)),
-                          spec_lo=np.conj(np.fft.rfft(lo, n=FFT_SIZE, axis=1)))
-    return _correlate_raw_gemm(raw_data, tables, fmt)[0]
 
 
 def encode_segment_fixed(buffer, bank, config, energy_trace=None):

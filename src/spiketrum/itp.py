@@ -34,6 +34,10 @@ class ChannelMap:
     kernel_count: int = 40
 
     def __post_init__(self):
+        # quantize_intensity is the paper's three-level selection chain
+        if len(self.levels) != 3:
+            raise ValueError(f"need exactly 3 levels, got {len(self.levels)}: "
+                             f"{self.levels}")
         if not all(a < b for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError(f"levels must be strictly increasing: {self.levels}")
         if min(self.levels) <= 0:

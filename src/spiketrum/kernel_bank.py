@@ -130,22 +130,11 @@ def generate_gammatone(fc, fs=DEFAULT_SAMPLE_RATE, length=DEFAULT_KERNEL_LENGTH,
 
 @dataclass(frozen=True)
 class Kernel:
-    """One dictionary entry: waveform plus its cached half spectrum.
-
-    ``spectrum`` holds the nonnegative-frequency half of the 2048-point
-    transform of the zero-padded waveform (the waveform is real, so the
-    negative half is redundant by conjugate symmetry).
-    """
+    """One dictionary entry: its index, center frequency and waveform."""
 
     index: int
     center_freq: float
     samples: np.ndarray
-    spectrum: np.ndarray
-
-    @classmethod
-    def build(cls, index, center_freq, samples):
-        spectrum = np.fft.rfft(samples, n=FFT_SIZE)
-        return cls(index, float(center_freq), samples, spectrum)
 
 
 @dataclass
@@ -164,8 +153,12 @@ class BankConfig:
 class KernelBank:
     """Immutable ordered collection of kernels with batched-access caches.
 
-    Treat as read-only after construction; encoders on any number of
-    threads may share one bank.
+    ``samples_matrix`` stacks the waveforms, one row per kernel.
+    ``conj_spectra`` holds the conjugated nonnegative-frequency half of
+    each row's 2048-point transform, zero-padded (the waveforms are real,
+    so the negative half is redundant by conjugate symmetry). Treat as
+    read-only after construction; encoders on any number of threads may
+    share one bank.
     """
 
     kernels: list[Kernel]
@@ -178,7 +171,8 @@ class KernelBank:
 
     def __post_init__(self):
         self.samples_matrix = np.stack([k.samples for k in self.kernels])
-        self.conj_spectra = np.conj(np.stack([k.spectrum for k in self.kernels]))
+        self.conj_spectra = np.conj(
+            np.fft.rfft(self.samples_matrix, n=FFT_SIZE, axis=1))
 
     @property
     def kernel_count(self):
@@ -221,7 +215,7 @@ def build_bank(config=None):
             f"kernel length {cfg.kernel_length} exceeds window size {FFT_SIZE}")
     freqs = erb_center_frequencies(cfg.kernel_count, cfg.fmin, cfg.fmax)
     kernels = [
-        Kernel.build(i, fc, generate_gammatone(
+        Kernel(i, float(fc), generate_gammatone(
             fc, cfg.sample_rate, cfg.kernel_length, cfg.order))
         for i, fc in enumerate(freqs)
     ]
@@ -275,7 +269,7 @@ def load_bank(path):
         (fc,) = struct.unpack_from("<d", blob, offset)
         samples = np.frombuffer(blob, dtype="<f8", count=length,
                                 offset=offset + 8).copy()
-        kernels.append(Kernel.build(i, fc, samples))
+        kernels.append(Kernel(i, fc, samples))
         offset += record
     if offset != len(blob):
         raise BankFormatError(

@@ -67,6 +67,12 @@ class TestEncode:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_fixed_rejects_direct_path(self, noise_wav, tmp_path, capsys):
+        rc = cli.main(["encode", noise_wav, "-o", str(tmp_path / "x.txt"),
+                       "--fixed", "Q5.28", "--path", "direct"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_wrong_rate_rejected(self, tmp_path, capsys):
         wav = tmp_path / "hi.wav"
         audio_io.write_wav(wav, np.zeros(1000), 44100)

@@ -1,5 +1,7 @@
 """Matching pursuit loop: correlation oracles, greedy selection, energy laws."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -51,20 +53,21 @@ class TestSegmentStream:
 
 
 class TestCorrelate:
+    """Rows of the batched (40, 2048) correlations, one row per kernel."""
+
     def test_direct_matches_brute_force(self, bank):
         rng = np.random.default_rng(10)
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
         buf.data[:696] = rng.uniform(-1, 1, 696)
-        kernel = bank.kernels[13]
-        np.testing.assert_allclose(enc.correlate_direct(buf, kernel),
-                                   brute_correlate(buf.data, kernel.samples),
+        np.testing.assert_allclose(enc.correlate_all_direct(buf, bank)[13],
+                                   brute_correlate(buf.data, bank.kernels[13].samples),
                                    atol=1e-12)
 
     def test_impulse_sifts_kernel(self, bank):
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 1)
         buf.data[0] = 1.0
         kernel = bank.kernels[20]
-        r = enc.correlate_direct(buf, kernel)
+        r = enc.correlate_all_direct(buf, bank)[20]
         # r[u] picks out kernel[(-u) mod 2048] where that index exists
         assert r[0] == kernel.samples[0]
         assert r[2047] == kernel.samples[1]
@@ -73,24 +76,22 @@ class TestCorrelate:
 
     def test_placed_kernel_peaks_at_slot(self, bank):
         buf = place_kernel(bank, 7, 100, 1.0)
-        r = enc.correlate_direct(buf, bank.kernels[7])
+        r = enc.correlate_all_direct(buf, bank)[7]
         assert np.argmax(r) == 100
         assert abs(r[100] - 1.0) < 1e-9
 
     def test_zero_buffer(self, bank):
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 0)
-        assert np.all(enc.correlate_direct(buf, bank.kernels[3]) == 0.0)
-        assert np.all(enc.correlate_fft(buf, bank.kernels[3]) == 0.0)
+        assert np.all(enc.correlate_all_direct(buf, bank) == 0.0)
+        assert np.all(enc.correlate_all_fft(buf, bank) == 0.0)
 
     def test_fft_equals_direct(self, bank):
         rng = np.random.default_rng(11)
         for _ in range(5):
             buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
             buf.data[:696] = rng.uniform(-1, 1, 696)
-            for m in (0, 17, 39):
-                kernel = bank.kernels[m]
-                diff = enc.correlate_fft(buf, kernel) - enc.correlate_direct(buf, kernel)
-                assert np.max(np.abs(diff)) < 1e-9
+            diff = enc.correlate_all_fft(buf, bank) - enc.correlate_all_direct(buf, bank)
+            assert np.max(np.abs(diff)) < 1e-9
 
     def test_batched_matches_single(self, bank):
         rng = np.random.default_rng(12)
@@ -98,13 +99,11 @@ class TestCorrelate:
         buf.data[:696] = rng.uniform(-1, 1, 696)
         all_direct = enc.correlate_all_direct(buf, bank)
         all_fft = enc.correlate_all_fft(buf, bank)
+        assert all_direct.shape == all_fft.shape == (40, 2048)
         for m in (0, 9, 39):
-            np.testing.assert_allclose(all_direct[m],
-                                       enc.correlate_direct(buf, bank.kernels[m]),
-                                       atol=1e-12)
-            np.testing.assert_allclose(all_fft[m],
-                                       enc.correlate_fft(buf, bank.kernels[m]),
-                                       atol=1e-12)
+            single = brute_correlate(buf.data, bank.kernels[m].samples)
+            np.testing.assert_allclose(all_direct[m], single, atol=1e-12)
+            np.testing.assert_allclose(all_fft[m], single, atol=1e-12)
 
 
 class TestFindBestCode:
@@ -298,9 +297,25 @@ class TestEncodeStream:
         rng = np.random.default_rng(24)
         samples = rng.uniform(-1, 1, 4000)
         config = enc.EncoderConfig(sps=6)
+        monkeypatch.setenv("SPIKETRUM_THREADS", "1")
         serial = enc.encode_stream(samples, bank, config)
         monkeypatch.setenv("SPIKETRUM_THREADS", "3")
         assert enc.encode_stream(samples, bank, config) == serial
+
+    def test_default_thread_count_is_one_per_cpu(self, monkeypatch):
+        monkeypatch.delenv("SPIKETRUM_THREADS", raising=False)
+        if hasattr(os, "sched_getaffinity"):
+            assert enc._worker_count() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert enc._worker_count() == os.cpu_count()
+
+    def test_non_finite_sample_rejected_on_both_datapaths(self, bank):
+        samples = np.zeros(1000)
+        samples[5] = np.nan
+        samples[700] = np.inf
+        for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
+            with pytest.raises(ValueError, match="non-finite sample nan at index 5"):
+                enc.encode_stream(samples, bank, config)
 
     def test_bad_thread_env(self, bank, monkeypatch):
         monkeypatch.setenv("SPIKETRUM_THREADS", "lots")

@@ -161,13 +161,15 @@ class TestQMul:
 
 
 class TestCorrelateFixed:
+    """Rows of the exact matrix-route correlation, one row per kernel."""
+
     def test_matches_bigint_accumulator(self, bank):
         rng = np.random.default_rng(53)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        kernel = bank.kernels[13]
-        r = fx.correlate_fixed(buf, kernel)
         raw_data = fx.to_fixed(buf.data)
-        raw_kernel = fx.to_fixed(kernel.samples)
+        r = fx._correlate_raw_gemm(raw_data, fx._tables_for(bank, fx.Q5_28),
+                                   fx.Q5_28)[13]
+        raw_kernel = fx.to_fixed(bank.kernels[13].samples)
         length = len(raw_kernel)
         for u in range(0, FFT_SIZE, 137):
             acc = sum(int(raw_data[(u + t) % FFT_SIZE]) * int(raw_kernel[t])
@@ -175,8 +177,10 @@ class TestCorrelateFixed:
             assert r[u] == model_round(acc, fx.Q5_28), u
 
     def test_zero_data(self, bank):
-        buf = SegmentBuffer(np.zeros(2048), 0, 0)
-        assert np.all(fx.correlate_fixed(buf, bank.kernels[0]) == 0)
+        raw = np.zeros(2048, dtype=np.int64)
+        r = fx._correlate_raw_gemm(raw, fx._tables_for(bank, fx.Q5_28), fx.Q5_28)
+        assert r.shape == (40, 2048)
+        assert np.all(r == 0)
 
 
 class TestDualRoute:

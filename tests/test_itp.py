@@ -18,6 +18,10 @@ class TestChannelMap:
             itp.ChannelMap(levels=(1.0, 1.0, 2.0))
         with pytest.raises(ValueError):
             itp.ChannelMap(levels=(-1.0, 0.5, 2.0))
+        with pytest.raises(ValueError, match="exactly 3 levels"):
+            itp.ChannelMap(levels=(0.5, 2.0))
+        with pytest.raises(ValueError, match="exactly 3 levels"):
+            itp.ChannelMap(levels=(0.1, 0.5, 2.0, 8.0))
 
     def test_channel_of(self, channel_map):
         assert itp.channel_of(0, 0, channel_map) == 0

@@ -88,9 +88,10 @@ class TestBuildBank:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_spectrum_cache_consistency(self, bank):
-        for kernel in bank.kernels:
+        assert bank.conj_spectra.shape == (bank.kernel_count, kb.FFT_SIZE // 2 + 1)
+        for kernel, conj_spectrum in zip(bank.kernels, bank.conj_spectra):
             recomputed = np.fft.rfft(kernel.samples, n=kb.FFT_SIZE)
-            np.testing.assert_allclose(kernel.spectrum, recomputed, atol=1e-12)
+            np.testing.assert_allclose(conj_spectrum, np.conj(recomputed), atol=1e-12)
 
     def test_deterministic_rebuild(self, bank):
         other = kb.build_bank()
