@@ -74,6 +74,8 @@ def cmd_decode(args):
         reference, _ = audio_io.read_wav(args.reference,
                                          expected_rate=bank.sample_rate)
     if args.length is not None:
+        if args.length < 1:
+            raise ValueError(f"--length must be at least 1, got {args.length}")
         length = args.length
     elif reference is not None:
         length = len(reference)

@@ -12,6 +12,18 @@ Correlation is circular over the 2048 window, which makes each subtraction
 an exact orthogonal projection: the residual energy drops by s**2 per
 iteration. The transform path and the sliding-dot-product path compute the
 same quantity and stay interchangeable.
+
+The transform path refreshes only the kernel rows that can still win. Each
+row m carries an upper bound on its peak |r[m, :]|: its peak when last
+transformed plus |s| * bank.peak_bound[m, n] for every code (n, tau, s)
+subtracted since, because removing s times kernel n moves row m by at most
+that much at any lag. Each iteration takes one rfft of the residual, then
+inverse-transforms contiguous bands of rows until every row left stale has
+a bound (plus a rounding margin) below the best refreshed peak. The winner
+is the smallest kernel index holding that peak, then its first lag: the
+same code, bit for bit, that recomputing all rows would pick, since each
+row is transformed on its own. The direct path recomputes every row every
+iteration and never uses the bound; it is the oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +38,10 @@ import numpy as np
 from .kernel_bank import FFT_SIZE
 
 MAX_SHIFT = 1024  # shifter range: tau in [-1024, 1023]
+# Margin on the pruning test, relative to the segment's norm: far above the
+# drift FFT and subtraction rounding can give a row's peak over 2048
+# iterations, far below any response the pursuit acts on.
+_ROUNDING_SLACK = 1e-9
 
 
 @dataclass
@@ -115,26 +131,42 @@ def correlate_all_direct(buffer, bank):
     return (windows @ bank.samples_matrix.T).T
 
 
-def correlate_all_fft(buffer, bank):
+def correlate_all_fft(buffer, bank, rows=slice(None), spectrum=None,
+                      prod=None, out=None):
     """Transform-path correlation against every kernel at once.
 
     Multiplying the buffer spectrum by the conjugate kernel spectra and
-    transforming back yields the circular correlation at every lag.
+    transforming back yields the circular correlation at every lag. The
+    pursuit loop refreshes a band of rows in place: it passes the row
+    slice, the buffer spectrum and preallocated (K, 1025) product and
+    (K, 2048) correlation arrays, and rows outside the band keep their
+    values. Each row is transformed on its own, so a row comes out
+    bit-identical whatever band it is computed in.
     """
-    spectrum = np.fft.rfft(buffer.data)
-    return np.fft.irfft(spectrum[None, :] * bank.conj_spectra, n=FFT_SIZE, axis=1)
+    if spectrum is None:
+        spectrum = np.fft.rfft(buffer.data)
+    conj = bank.conj_spectra[rows]
+    if out is None:
+        return np.fft.irfft(spectrum * conj, n=FFT_SIZE, axis=1)
+    np.fft.irfft(np.multiply(spectrum, conj, out=prod[rows]), n=FFT_SIZE,
+                 axis=1, out=out[rows])
+    return out
 
 
-def find_best_code(correlations, segment_index=0, iteration=0):
+def find_best_code(correlations, segment_index=0, iteration=0, m=None):
     """Pick the strongest response over all kernels and lags.
 
     The winner maximizes |r|; s keeps its sign. Lags past 1023 wrap to
     negative shifts. Ties resolve to the smallest kernel index, then the
-    smallest lag (row-major argmax order).
+    smallest lag (row-major argmax order). With m given, the kernel is
+    already chosen and only its row is searched.
     """
     correlations = np.asarray(correlations)
-    flat = int(np.argmax(np.abs(correlations)))
-    m, u = divmod(flat, correlations.shape[1])
+    if m is None:
+        flat = int(np.argmax(np.abs(correlations)))
+        m, u = divmod(flat, correlations.shape[1])
+    else:
+        u = int(np.argmax(np.abs(correlations[m])))
     tau = u if u < MAX_SHIFT else u - FFT_SIZE
     return Code(m, tau, float(correlations[m, u]), segment_index, iteration)
 
@@ -144,8 +176,9 @@ def subtract_component(buffer, kernel, tau, s):
     if abs(tau) > MAX_SHIFT:
         raise ValueError(f"tau {tau} outside [{-MAX_SHIFT}, {MAX_SHIFT}]")
     start = tau % FFT_SIZE
-    idx = (start + np.arange(len(kernel.samples))) % FFT_SIZE
-    buffer.data[idx] -= s * kernel.samples
+    head = min(len(kernel.samples), FFT_SIZE - start)  # taps before the wrap
+    buffer.data[start:start + head] -= s * kernel.samples[:head]
+    buffer.data[:len(kernel.samples) - head] -= s * kernel.samples[head:]
     return buffer
 
 
@@ -159,12 +192,68 @@ def encode_segment(buffer, bank, config):
 
     Stops after config.sps codes or on the first response below the
     feedback threshold, which is discarded rather than emitted, so every
-    returned code satisfies |s| >= threshold.
+    returned code satisfies |s| >= threshold. The FFT path refreshes only
+    the kernel rows whose peak can still win (see the module docstring);
+    the direct path recomputes every row every iteration and is the
+    oracle the FFT path is checked against.
     """
-    correlate = correlate_all_fft if config.path == "fft" else correlate_all_direct
+    if config.path == "direct":
+        return _encode_segment_direct(buffer, bank, config)
+    count = bank.kernel_count
+    r = np.empty((count, FFT_SIZE))
+    prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
+    peak = np.empty(count)               # max |r[m, :]| of rows refreshed this iteration, else -1
+    bound = np.full(count, np.inf)       # >= the peak row m would have if refreshed now
+    floor = np.zeros(count)              # <= that peak, up to rounding; only picks the first band
+    stale = np.empty(count)              # bound + slack of rows not refreshed yet, else -inf
+    energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
+    slack = _ROUNDING_SLACK * np.sqrt(buffer.data @ buffer.data * energy) * (1.0 + energy)
+    lo, hi = 0, count
     codes = []
     for iteration in range(config.sps):
-        code = find_best_code(correlate(buffer, bank),
+        spectrum = np.fft.rfft(buffer.data)
+        peak.fill(-1.0)
+        np.add(bound, slack, out=stale)
+        best = 0.0
+        while True:
+            correlate_all_fft(buffer, bank, slice(lo, hi), spectrum, prod, r)
+            band = r[lo:hi]
+            top = np.maximum(band.max(axis=1), -band.min(axis=1), out=peak[lo:hi])
+            bound[lo:hi] = floor[lo:hi] = top
+            stale[lo:hi] = -np.inf
+            best = max(best, top.max())
+            reach = stale >= best
+            if not reach.any():
+                break
+            lo, hi = _run_around(reach.tolist(), int(np.argmax(stale)))
+        m = int(np.argmax(peak))
+        code = find_best_code(r, buffer.segment_index, iteration, m)
+        if feedback_should_stop(code, config.threshold):
+            break
+        subtract_component(buffer, bank.kernels[m], code.tau, code.s)
+        codes.append(code)
+        step = abs(code.s) * bank.peak_bound[m]
+        bound += step
+        floor -= step
+        lo, hi = _run_around((bound >= floor.max()).tolist(), int(np.argmax(floor)))
+    return codes
+
+
+def _run_around(mask, row):
+    """(lo, hi) of the run of true entries in mask that contains row."""
+    lo = hi = row
+    while lo > 0 and mask[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(mask) and mask[hi + 1]:
+        hi += 1
+    return lo, hi + 1
+
+
+def _encode_segment_direct(buffer, bank, config):
+    """The unpruned pursuit loop on the sliding-dot-product correlation."""
+    codes = []
+    for iteration in range(config.sps):
+        code = find_best_code(correlate_all_direct(buffer, bank),
                               buffer.segment_index, iteration)
         if feedback_should_stop(code, config.threshold):
             break
@@ -194,7 +283,8 @@ def encode_stream(samples, bank, config):
     Segments are independent, so with SPIKETRUM_THREADS > 1 they encode on
     a thread pool; results are concatenated in segment order either way and
     the output is identical for any worker count. Non-finite samples are
-    rejected, naming the first one's index.
+    rejected, naming the first one's index; so are samples outside the
+    fixed-point format's range, which would otherwise saturate silently.
     """
     samples = np.asarray(samples, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(samples))
@@ -204,6 +294,12 @@ def encode_stream(samples, bank, config):
     if config.fixed is not None:
         from . import fixed_point  # deferred: fixed_point imports this module
 
+        fmt = fixed_point.QFormat(*config.fixed)
+        lo, hi = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+        bad = np.flatnonzero((samples < lo) | (samples > hi))
+        if bad.size:
+            raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "
+                             f"the {fmt} range [{lo}, {hi}]")
         encode_one = lambda buf: fixed_point.encode_segment_fixed(buf, bank, config)
     else:
         encode_one = lambda buf: encode_segment(buf, bank, config)

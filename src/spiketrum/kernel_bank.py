@@ -27,6 +27,9 @@ _ERB_Q = 21.4
 _ERB_SCALE = 4.37
 _BANDWIDTH_FACTOR = 1.019
 
+# relative margin on peak_bound for rounding in its sum and in the FFTs
+_BOUND_SLACK = 1e-9
+
 _BANK_MAGIC = b"SPKB"
 _BANK_VERSION = 1
 _HEADER = struct.Struct("<4sIII d d d I")
@@ -156,9 +159,14 @@ class KernelBank:
     ``samples_matrix`` stacks the waveforms, one row per kernel.
     ``conj_spectra`` holds the conjugated nonnegative-frequency half of
     each row's 2048-point transform, zero-padded (the waveforms are real,
-    so the negative half is redundant by conjugate symmetry). Treat as
-    read-only after construction; encoders on any number of threads may
-    share one bank.
+    so the negative half is redundant by conjugate symmetry).
+    ``peak_bound[m, n]`` bounds the peak over all lags of the circular
+    cross-correlation of kernels m and n: (1/2048) * sum_k w_k * |K_m(k)|
+    * |K_n(k)|, where w_k is 1 at DC and Nyquist and 2 elsewhere, raised
+    by a relative 1e-9 so that rounding never pulls it below the peak an
+    FFT computes. The float encoder prunes its correlation refresh with
+    it. Treat as read-only after construction; encoders on any number of
+    threads may share one bank.
     """
 
     kernels: list[Kernel]
@@ -168,11 +176,19 @@ class KernelBank:
     order: int = DEFAULT_ORDER
     samples_matrix: np.ndarray = field(init=False, repr=False)
     conj_spectra: np.ndarray = field(init=False, repr=False)
+    peak_bound: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.samples_matrix = np.stack([k.samples for k in self.kernels])
         self.conj_spectra = np.conj(
             np.fft.rfft(self.samples_matrix, n=FFT_SIZE, axis=1))
+        magnitude = np.abs(self.conj_spectra)
+        weight = np.full(magnitude.shape[1], 2.0)
+        weight[[0, -1]] = 1.0
+        # einsum rather than @: a BLAS product allocates BLAS work buffers
+        # that the transform-only encode paths otherwise never need
+        self.peak_bound = np.einsum("mk,nk->mn", magnitude * weight, magnitude) * (
+            (1.0 + _BOUND_SLACK) / FFT_SIZE)
 
     @property
     def kernel_count(self):

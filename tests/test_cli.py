@@ -123,6 +123,16 @@ class TestDecode:
         assert report["spike_count"] == 368
         assert report["snr_db"] is not None
 
+    def test_length_below_one_rejected(self, noise_wav, tmp_path, capsys):
+        spikes = tmp_path / "s.txt"
+        cli.main(["encode", noise_wav, "-o", str(spikes)])
+        for length in ("-5", "0"):
+            rc = cli.main(["decode", str(spikes), "-o", str(tmp_path / "r.wav"),
+                           "--length", length])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "--length" in err and length in err
+
     def test_empty_spikes_need_length(self, tmp_path, capsys):
         empty = tmp_path / "none.txt"
         itp.write_aer_text([], empty)

@@ -1,6 +1,7 @@
 """Matching pursuit loop: correlation oracles, greedy selection, energy laws."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,80 @@ class TestEncodeSegment:
             [(c.m, c.tau) for c in out["fft"]]
 
 
+def full_recompute(buffer, bank, config):
+    """The unpruned FFT pursuit loop: every kernel row recomputed every iteration."""
+    codes = []
+    for iteration in range(config.sps):
+        code = enc.find_best_code(enc.correlate_all_fft(buffer, bank),
+                                  buffer.segment_index, iteration)
+        if enc.feedback_should_stop(code, config.threshold):
+            break
+        enc.subtract_component(buffer, bank.kernels[code.m], code.tau, code.s)
+        codes.append(code)
+    return codes
+
+
+class TestPrunedRefresh:
+    """The bound-pruned FFT loop against the full recompute, bit for bit."""
+
+    def test_peak_bound_is_sound(self, bank):
+        spectra = bank.conj_spectra
+        for m in range(bank.kernel_count):
+            cross = np.fft.irfft(np.conj(spectra[m]) * spectra, n=enc.FFT_SIZE, axis=1)
+            assert np.all(bank.peak_bound[m] >= np.max(np.abs(cross), axis=1))
+
+    def assert_parity(self, bank, samples, config, segment_index=0):
+        pruned = enc.SegmentBuffer.from_samples(samples, segment_index)
+        full = enc.SegmentBuffer.from_samples(samples, segment_index)
+        codes = enc.encode_segment(pruned, bank, config)
+        assert codes == full_recompute(full, bank, config)
+        np.testing.assert_array_equal(pruned.data, full.data)
+        return codes
+
+    def test_white_noise_sps_256(self, bank):
+        rng = np.random.default_rng(30)
+        for index in range(3):
+            codes = self.assert_parity(bank, rng.uniform(-1, 1, 696),
+                                       enc.EncoderConfig(sps=256), index)
+            assert len(codes) == 256
+
+    def test_two_tones_sps_64(self, bank):
+        rng = np.random.default_rng(31)
+        t = np.arange(696) / 16000.0
+        for index in range(4):
+            f1, f2 = rng.uniform(60.0, 7000.0, 2)
+            tones = 0.4 * np.sin(2 * np.pi * f1 * t) + 0.1 * np.cos(2 * np.pi * f2 * t)
+            self.assert_parity(bank, tones, enc.EncoderConfig(sps=64), index)
+
+    def test_zero_buffer_ties_to_first_row_and_lag(self, bank):
+        codes = self.assert_parity(bank, np.zeros(696), enc.EncoderConfig(sps=4))
+        assert [(c.m, c.tau, c.s) for c in codes] == [(0, 0, 0.0)] * 4
+
+    def test_zero_budget(self, bank):
+        samples = np.random.default_rng(32).uniform(-1, 1, 696)
+        assert self.assert_parity(bank, samples, enc.EncoderConfig(sps=0)) == []
+
+    def test_feedback_stop(self, bank):
+        samples = 0.05 * np.random.default_rng(33).uniform(-1, 1, 696)
+        codes = self.assert_parity(bank, samples,
+                                   enc.EncoderConfig(sps=64, threshold=0.07))
+        assert 0 < len(codes) < 64
+
+    def test_refreshes_fewer_rows_than_full_recompute(self, bank, monkeypatch):
+        rows = []
+        original = enc.correlate_all_fft
+
+        def counting(buffer, bank, band=slice(None), *args):
+            rows.append(len(range(bank.kernel_count)[band]))
+            return original(buffer, bank, band, *args)
+
+        monkeypatch.setattr(enc, "correlate_all_fft", counting)
+        samples = np.random.default_rng(34).uniform(-1, 1, 696)
+        buf = enc.SegmentBuffer.from_samples(samples)
+        enc.encode_segment(buf, bank, enc.EncoderConfig(sps=64))
+        assert sum(rows) < 0.5 * 64 * bank.kernel_count
+
+
 class TestEncodeStream:
     def test_five_second_code_budget(self, bank):
         rng = np.random.default_rng(21)
@@ -316,6 +391,28 @@ class TestEncodeStream:
         for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
             with pytest.raises(ValueError, match="non-finite sample nan at index 5"):
                 enc.encode_stream(samples, bank, config)
+
+    def test_fixed_rejects_samples_outside_the_format(self, bank):
+        for value in (100.0, 1e300, -32.5):
+            samples = np.zeros(1000)
+            samples[800] = value
+            message = f"sample {value} at index 800 outside the Q5.28 range " \
+                "[-32.0, 31.99999999627471]"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                enc.encode_stream(samples, bank, enc.EncoderConfig(fixed=(5, 28)))
+
+    def test_fixed_accepts_the_format_extremes(self, bank):
+        samples = np.zeros(1000)
+        samples[3] = 32.0 - 2.0 ** -28
+        samples[900] = -32.0
+        codes = enc.encode_stream(samples, bank, enc.EncoderConfig(sps=2, fixed=(5, 28)))
+        assert len(codes) == 4
+
+    def test_float_path_takes_large_samples(self, bank):
+        samples = np.zeros(1000)
+        samples[800] = 100.0
+        codes = enc.encode_stream(samples, bank, enc.EncoderConfig(sps=1))
+        assert abs(codes[1].s) > 32.0
 
     def test_bad_thread_env(self, bank, monkeypatch):
         monkeypatch.setenv("SPIKETRUM_THREADS", "lots")
