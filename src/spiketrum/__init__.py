@@ -29,9 +29,9 @@ from .encoder import (
     write_codes_csv,
 )
 from .itp import (
+    SPIKE_DTYPE,
     AerFormatError,
     ChannelMap,
-    SpikeEvent,
     channel_of,
     codes_to_spikes,
     quantize_intensity,

@@ -9,6 +9,9 @@ import numpy as np
 
 _SCALE = 32768.0
 
+# The RIFF size field (32 bits) counts 36 header bytes plus the data bytes.
+MAX_WAV_SAMPLES = (2 ** 32 - 1 - 36) // 2
+
 
 def read_wav(path, expected_rate=None):
     """Read a mono 16-bit PCM WAV as float64 samples in [-1, 1].

@@ -79,10 +79,13 @@ def cmd_decode(args):
         length = args.length
     elif reference is not None:
         length = len(reference)
-    elif spikes:
-        length = max(e.time for e in spikes) + bank.kernel_length
+    elif len(spikes):
+        length = int(spikes.time.max()) + bank.kernel_length
     else:
         raise ValueError("empty spike train: give --length for the output size")
+    if length > audio_io.MAX_WAV_SAMPLES:
+        raise ValueError(f"output length {length} exceeds the {audio_io.MAX_WAV_SAMPLES}"
+                         f" samples a 16-bit mono WAV can hold")
     recon = decoder.reconstruct_from_spikes(spikes, bank, channel_map, length)
     audio_io.write_wav(args.output, recon, bank.sample_rate)
     report = {"spike_count": len(spikes), "output_samples": length,

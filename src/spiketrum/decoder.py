@@ -8,8 +8,6 @@ code's quantized level, so it bounds the code path from below on SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernel_bank import FFT_SIZE
@@ -17,12 +15,22 @@ from .kernel_bank import FFT_SIZE
 SNR_CAP_DB = 300.0
 
 
-def _place(out, start, waveform):
-    """Add waveform into out at start, dropping samples outside the array."""
-    lo = max(start, 0)
-    hi = min(start + len(waveform), len(out))
-    if lo < hi:
-        out[lo:hi] += waveform[lo - start:hi - start]
+def _overlap_add(starts, kernels, scales, bank, length):
+    """Sum of scales[i] * kernel kernels[i] placed at starts[i], in order.
+
+    Samples falling outside [0, length) are dropped.
+    """
+    out = np.zeros(length)
+    samples = bank.samples_matrix
+    width = bank.kernel_length
+    for start, m, scale in zip(starts, kernels, scales):
+        if not 0 <= m < bank.kernel_count:
+            raise ValueError(f"kernel index {m} outside bank of {bank.kernel_count}")
+        lo = max(start, 0)
+        hi = min(start + width, length)
+        if lo < hi:
+            out[lo:hi] += scale * samples[m, lo - start:hi - start]
+    return out
 
 
 def reconstruct_from_codes(codes, bank, output_length):
@@ -31,13 +39,10 @@ def reconstruct_from_codes(codes, bank, output_length):
     tau keeps its sign here; contributions falling outside the output
     range are dropped.
     """
-    out = np.zeros(output_length)
     seg_len = bank.segment_length
-    for c in codes:
-        if not 0 <= c.m < bank.kernel_count:
-            raise ValueError(f"kernel index {c.m} outside bank of {bank.kernel_count}")
-        _place(out, c.segment_index * seg_len + c.tau, c.s * bank.kernels[c.m].samples)
-    return out
+    return _overlap_add([c.segment_index * seg_len + c.tau for c in codes],
+                        [c.m for c in codes], [c.s for c in codes],
+                        bank, output_length)
 
 
 def reconstruct_from_spikes(spikes, bank, channel_map, output_length):
@@ -45,16 +50,15 @@ def reconstruct_from_spikes(spikes, bank, channel_map, output_length):
 
     The spike time already encodes segment start plus clamped shift.
     """
-    out = np.zeros(output_length)
+    channel = spikes["channel"]
+    bad = channel >= channel_map.total_channels
+    if bad.any():
+        raise ValueError(f"channel {channel[bad][0]} outside "
+                         f"[0, {channel_map.total_channels})")
     per_kernel = channel_map.channels_per_kernel
-    for e in spikes:
-        if not 0 <= e.channel < channel_map.total_channels:
-            raise ValueError(
-                f"channel {e.channel} outside [0, {channel_map.total_channels})")
-        m = e.channel // per_kernel
-        level = channel_map.levels[e.channel % per_kernel]
-        _place(out, e.time, level * bank.kernels[m].samples)
-    return out
+    return _overlap_add(spikes["time"].tolist(), (channel // per_kernel).tolist(),
+                        np.take(channel_map.levels, channel % per_kernel).tolist(),
+                        bank, output_length)
 
 
 def reconstruct_segment_window(codes, bank):
@@ -92,32 +96,16 @@ def snr_db(original, reconstructed):
 
 def spike_entropy(spikes, total_channels):
     """Shannon entropy in bits of the empirical channel-usage distribution."""
-    if not spikes:
+    if not len(spikes):
         return 0.0
-    counts = np.zeros(total_channels)
-    for e in spikes:
-        counts[e.channel] += 1
+    counts = np.bincount(spikes["channel"], minlength=total_channels)
     p = counts[counts > 0] / len(spikes)
     return float(-(p @ np.log2(p)))
 
 
 def sparsity_percent(spikes, total_channels):
     """Percentage of channels that fired at least once."""
-    if not spikes:
-        return 0.0
-    return 100.0 * len({e.channel for e in spikes}) / total_channels
-
-
-@dataclass
-class ReconstructionReport:
-    """Reconstruction plus its headline numbers."""
-
-    reconstructed: np.ndarray
-    residual_energy: float
-    snr_db: float
-    code_count: int
-    spike_count: int
-    spikes_per_second: float
+    return 100.0 * len(np.unique(spikes["channel"])) / total_channels
 
 
 def encoding_report(samples, codes, spikes, bank, channel_map, sample_rate):

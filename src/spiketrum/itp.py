@@ -3,8 +3,9 @@
 Every kernel owns three output channels, one per discrete intensity level.
 A code becomes a single spike: the channel names the kernel and the level
 nearest to |s|, the spike time is the segment start plus the (nonnegative,
-clamped) shift. Spike trains serialize to a plain text event list or a
-compact binary record stream.
+clamped) shift. A spike train is a numpy record array of SPIKE_DTYPE, the
+binary file's record layout; it serializes to a plain text event list or
+to a header followed by the records' bytes.
 """
 
 from __future__ import annotations
@@ -12,14 +13,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .encoder import Code
 
 DEFAULT_LEVELS = (0.0065, 0.4115, 25.8744)
 
+# One spike: absolute sample time and output channel, packed little-endian
+# exactly as each record of a .spka file.
+SPIKE_DTYPE = np.dtype([("time", "<u8"), ("channel", "<u2")])
+
 _AER_MAGIC = b"SPKA"
 _AER_VERSION = 1
 _AER_HEADER = struct.Struct("<4sII d")
-_AER_RECORD = struct.Struct("<QH")
 
 
 class AerFormatError(ValueError):
@@ -52,14 +58,6 @@ class ChannelMap:
         return self.kernel_count * len(self.levels)
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
-    """One event: absolute sample time and output channel."""
-
-    time: int
-    channel: int
-
-
 def channel_of(m, level, channel_map=ChannelMap()):
     """Channel id for kernel m at intensity level; bijective over the grid."""
     if not 0 <= m < channel_map.kernel_count:
@@ -88,17 +86,28 @@ def codes_to_spikes(codes, channel_map, segment_len):
     """One spike per code, sorted by time then channel.
 
     The shift clamps to [0, segment_len) so the event never precedes its
-    segment; the full signed shift survives only at the code level.
+    segment; the full signed shift survives only at the code level. The
+    level is quantize_intensity's: argmin takes the first of equal
+    distances, so ties go to the lower level.
     """
-    spikes = []
-    for c in codes:
-        offset = min(max(c.tau, 0), segment_len - 1)
-        spikes.append(SpikeEvent(
-            time=c.segment_index * segment_len + offset,
-            channel=channel_of(c.m, quantize_intensity(c.s, channel_map),
-                               channel_map)))
-    spikes.sort(key=lambda e: (e.time, e.channel))
-    return spikes
+    table = np.array([(c.segment_index, c.tau, c.m, c.s) for c in codes],
+                     dtype=[("segment", "i8"), ("tau", "i8"), ("m", "i8"),
+                            ("s", "f8")])
+    bad = (table["m"] < 0) | (table["m"] >= channel_map.kernel_count)
+    if bad.any():
+        raise ValueError(f"kernel index {table['m'][bad][0]} outside "
+                         f"[0, {channel_map.kernel_count})")
+    if (table["segment"] < 0).any():
+        raise ValueError(f"negative segment index {table['segment'].min()}")
+    if not np.isfinite(table["s"]).all():
+        raise ValueError("non-finite intensity: no level is nearest to it")
+    distance = np.abs(np.abs(table["s"])[:, None] - np.array(channel_map.levels))
+    channel = (table["m"] * channel_map.channels_per_kernel
+               + np.argmin(distance, axis=1))
+    time = (table["segment"] * segment_len
+            + np.clip(table["tau"], 0, segment_len - 1))
+    order = np.lexsort((channel, time))
+    return np.rec.fromarrays([time[order], channel[order]], dtype=SPIKE_DTYPE)
 
 
 def spikes_to_codes(spikes, channel_map, segment_len):
@@ -110,15 +119,15 @@ def spikes_to_codes(spikes, channel_map, segment_len):
     per_kernel = channel_map.channels_per_kernel
     counters = {}
     codes = []
-    for e in spikes:
-        if not 0 <= e.channel < channel_map.total_channels:
+    for time, channel in spikes.tolist():
+        if not 0 <= channel < channel_map.total_channels:
             raise AerFormatError(
-                f"channel {e.channel} outside [0, {channel_map.total_channels})")
-        segment, tau = divmod(e.time, segment_len)
+                f"channel {channel} outside [0, {channel_map.total_channels})")
+        segment, tau = divmod(time, segment_len)
         iteration = counters.get(segment, 0)
         counters[segment] = iteration + 1
-        codes.append(Code(m=e.channel // per_kernel, tau=tau,
-                          s=channel_map.levels[e.channel % per_kernel],
+        codes.append(Code(m=channel // per_kernel, tau=tau,
+                          s=channel_map.levels[channel % per_kernel],
                           segment_index=segment, iteration=iteration))
     return codes
 
@@ -126,12 +135,13 @@ def spikes_to_codes(spikes, channel_map, segment_len):
 def write_aer_text(spikes, path):
     """One `time,channel` line per event."""
     with open(path, "w") as fh:
-        for e in spikes:
-            fh.write(f"{e.time},{e.channel}\n")
+        for time, channel in spikes.tolist():
+            fh.write(f"{time},{channel}\n")
 
 
 def read_aer_text(path):
-    spikes = []
+    """Parse `time,channel` lines; each value must fit its SPIKE_DTYPE field."""
+    times, channels = [], []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -139,15 +149,21 @@ def read_aer_text(path):
                 if not line:
                     continue
                 try:
-                    time_s, channel_s = line.split(",")
-                    spikes.append(SpikeEvent(int(time_s), int(channel_s)))
+                    time, channel = map(int, line.split(","))
                 except ValueError as exc:
                     raise AerFormatError(
                         f"bad event on line {lineno}: {line!r}") from exc
+                if not (0 <= time < 2 ** 64 and 0 <= channel < 2 ** 16):
+                    raise AerFormatError(
+                        f"event out of range on line {lineno}: {line!r} "
+                        f"(time in [0, 2**64), channel in [0, 2**16))")
+                times.append(time)
+                channels.append(channel)
     except UnicodeDecodeError as exc:
         raise AerFormatError(
             f"binary content at byte {exc.start}; not a text spike file") from exc
-    return spikes
+    return np.rec.fromarrays([np.array(times, dtype=np.uint64), channels],
+                             dtype=SPIKE_DTYPE)
 
 
 def write_aer_binary(spikes, path, sample_rate, channel_count=120):
@@ -155,12 +171,11 @@ def write_aer_binary(spikes, path, sample_rate, channel_count=120):
     with open(path, "wb") as fh:
         fh.write(_AER_HEADER.pack(_AER_MAGIC, _AER_VERSION, channel_count,
                                   sample_rate))
-        for e in spikes:
-            fh.write(_AER_RECORD.pack(e.time, e.channel))
+        fh.write(np.asarray(spikes, dtype=SPIKE_DTYPE).tobytes())
 
 
 def read_aer_binary(path):
-    """Returns (spikes, sample_rate, channel_count)."""
+    """Returns (spikes, sample_rate, channel_count); spikes is read-only."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _AER_MAGIC:
@@ -172,16 +187,16 @@ def read_aer_binary(path):
     if version != _AER_VERSION:
         raise AerFormatError(f"unsupported version {version} at offset 4")
     body = len(blob) - _AER_HEADER.size
-    if body % _AER_RECORD.size:
+    record = SPIKE_DTYPE.itemsize
+    if body % record:
         raise AerFormatError(
-            f"truncated record at offset {_AER_HEADER.size + body - body % _AER_RECORD.size}")
-    spikes = []
-    for off in range(_AER_HEADER.size, len(blob), _AER_RECORD.size):
-        time, channel = _AER_RECORD.unpack_from(blob, off)
-        if channel >= channel_count:
-            raise AerFormatError(f"channel {channel} at offset {off} exceeds "
-                                 f"declared count {channel_count}")
-        spikes.append(SpikeEvent(time, channel))
+            f"truncated record at offset {_AER_HEADER.size + body - body % record}")
+    spikes = np.frombuffer(blob, SPIKE_DTYPE, offset=_AER_HEADER.size).view(np.recarray)
+    bad = np.flatnonzero(spikes.channel >= channel_count)
+    if len(bad):
+        raise AerFormatError(
+            f"channel {spikes.channel[bad[0]]} at offset "
+            f"{_AER_HEADER.size + bad[0] * record} exceeds declared count {channel_count}")
     return spikes, sample_rate, channel_count
 
 

@@ -9,6 +9,10 @@ from spiketrum import audio_io, cli, itp, kernel_bank
 from spiketrum.encoder import read_codes_csv
 
 
+def spike_train(times, channels):
+    return np.rec.fromarrays([times, channels], dtype=itp.SPIKE_DTYPE)
+
+
 @pytest.fixture(scope="module")
 def noise_wav(tmp_path_factory):
     rng = np.random.default_rng(70)
@@ -133,9 +137,54 @@ class TestDecode:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "--length" in err and length in err
 
+    @pytest.mark.parametrize("source", ["--length", "last spike"])
+    def test_length_past_wav_limit_rejected(self, tmp_path, capsys, source):
+        # 2**40 samples would need 8 TiB of float64 and overflow the RIFF size field
+        spikes = tmp_path / "far.spka"
+        args = ["decode", str(spikes), "-o", str(tmp_path / "r.wav")]
+        if source == "--length":
+            itp.write_aer_binary(spike_train([0], [0]), spikes, 16000.0)
+            args += ["--length", str(2 ** 40)]
+            length = 2 ** 40
+        else:
+            itp.write_aer_binary(spike_train([2 ** 40], [0]), spikes, 16000.0)
+            length = 2 ** 40 + 1353
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(length) in err and str(audio_io.MAX_WAV_SAMPLES) in err
+        assert not (tmp_path / "r.wav").exists()
+
+    @pytest.mark.parametrize("source", ["--length", "last spike"])
+    def test_wav_limit_boundary(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(audio_io, "MAX_WAV_SAMPLES", 2000)
+        for length, rc in ((2000, 0), (2001, 1)):
+            spikes = tmp_path / f"{length}.spka"
+            args = ["decode", str(spikes), "-o", str(tmp_path / f"{length}.wav")]
+            if source == "--length":
+                itp.write_aer_binary(spike_train([0], [0]), spikes, 16000.0)
+                args += ["--length", str(length)]
+            else:
+                itp.write_aer_binary(spike_train([length - 1353], [0]), spikes,
+                                     16000.0)
+            assert cli.main(args) == rc
+            assert ("exceeds the 2000 samples" in capsys.readouterr().err) == bool(rc)
+
+    def test_wav_limit_is_the_riff_size_field(self):
+        # RIFF size = 36 header bytes + 2 bytes per sample, a 32-bit field
+        assert 36 + 2 * audio_io.MAX_WAV_SAMPLES <= 2 ** 32 - 1
+        assert 36 + 2 * (audio_io.MAX_WAV_SAMPLES + 1) > 2 ** 32 - 1
+
+    def test_negative_text_time_rejected(self, tmp_path, capsys):
+        spikes = tmp_path / "neg.txt"
+        spikes.write_text("0,0\n-5,3\n")
+        rc = cli.main(["decode", str(spikes), "-o", str(tmp_path / "r.wav")])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_empty_spikes_need_length(self, tmp_path, capsys):
         empty = tmp_path / "none.txt"
-        itp.write_aer_text([], empty)
+        itp.write_aer_text(spike_train([], []), empty)
         rc = cli.main(["decode", str(empty), "-o", str(tmp_path / "r.wav")])
         assert rc == 1
         assert "empty spike train" in capsys.readouterr().err
@@ -149,7 +198,7 @@ class TestDecode:
 
     def test_rate_mismatch_rejected(self, tmp_path, capsys):
         spikes = tmp_path / "hi.spka"
-        itp.write_aer_binary([itp.SpikeEvent(0, 0)], spikes, 22050.0)
+        itp.write_aer_binary(spike_train([0], [0]), spikes, 22050.0)
         rc = cli.main(["decode", str(spikes), "-o", str(tmp_path / "r.wav")])
         assert rc == 1
         assert "22050" in capsys.readouterr().err

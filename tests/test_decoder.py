@@ -9,6 +9,10 @@ from spiketrum import decoder, itp
 from spiketrum.encoder import Code, EncoderConfig, encode_stream
 
 
+def train(times, channels):
+    return np.rec.fromarrays([times, channels], dtype=itp.SPIKE_DTYPE)
+
+
 class TestReconstructFromCodes:
     def test_no_codes_gives_silence(self, bank):
         out = decoder.reconstruct_from_codes([], bank, 2000)
@@ -56,22 +60,35 @@ class TestReconstructFromCodes:
 
 class TestReconstructFromSpikes:
     def test_spike_places_level_amplitude(self, bank, channel_map):
-        spike = itp.SpikeEvent(time=2188, channel=22)
-        out = decoder.reconstruct_from_spikes([spike], bank, channel_map, 4000)
+        out = decoder.reconstruct_from_spikes(train([2188], [22]), bank,
+                                              channel_map, 4000)
         np.testing.assert_allclose(out[2188:2188 + 1353],
                                    0.4115 * bank.kernels[7].samples, atol=1e-15)
         assert np.all(out[:2188] == 0.0)
         assert np.all(out[2188 + 1353:] == 0.0)
 
     def test_channel_zero(self, bank, channel_map):
-        spike = itp.SpikeEvent(time=0, channel=0)
-        out = decoder.reconstruct_from_spikes([spike], bank, channel_map, 1353)
+        out = decoder.reconstruct_from_spikes(train([0], [0]), bank,
+                                              channel_map, 1353)
         np.testing.assert_allclose(out, 0.0065 * bank.kernels[0].samples,
                                    atol=1e-15)
 
     def test_empty(self, bank, channel_map):
-        out = decoder.reconstruct_from_spikes([], bank, channel_map, 500)
+        out = decoder.reconstruct_from_spikes(train([], []), bank, channel_map, 500)
         assert np.all(out == 0.0)
+
+    def test_channel_out_of_range(self, bank, channel_map):
+        with pytest.raises(ValueError, match="channel 120"):
+            decoder.reconstruct_from_spikes(train([0, 5], [3, 120]), bank,
+                                            channel_map, 500)
+
+    def test_equals_codes_recovered_from_spikes(self, bank, channel_map):
+        rng = np.random.default_rng(43)
+        spikes = train(np.sort(rng.integers(0, 5000, 300)), rng.integers(0, 120, 300))
+        codes = itp.spikes_to_codes(spikes, channel_map, bank.segment_length)
+        np.testing.assert_array_equal(
+            decoder.reconstruct_from_spikes(spikes, bank, channel_map, 6000),
+            decoder.reconstruct_from_codes(codes, bank, 6000))
 
     def test_spike_reconstruction_is_lossier(self, bank, channel_map):
         rng = np.random.default_rng(40)
@@ -111,32 +128,34 @@ class TestSnr:
 
 class TestEntropy:
     def test_uniform_over_all_channels(self):
-        spikes = [itp.SpikeEvent(t, c) for c in range(120) for t in (0, 5)]
+        spikes = train([t for c in range(120) for t in (0, 5)],
+                       [c for c in range(120) for t in (0, 5)])
         assert decoder.spike_entropy(spikes, 120) == pytest.approx(math.log2(120))
 
     def test_single_channel_is_zero(self):
-        spikes = [itp.SpikeEvent(t, 7) for t in range(10)]
+        spikes = train(range(10), [7] * 10)
         assert decoder.spike_entropy(spikes, 120) == 0.0
 
     def test_empty_is_zero(self):
-        assert decoder.spike_entropy([], 120) == 0.0
+        entropy = decoder.spike_entropy(train([], []), 120)
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_two_equal_channels(self):
-        spikes = [itp.SpikeEvent(0, 1), itp.SpikeEvent(1, 2)]
+        spikes = train([0, 1], [1, 2])
         assert decoder.spike_entropy(spikes, 120) == pytest.approx(1.0)
 
 
 class TestSparsity:
     def test_fraction_of_channels_used(self):
-        spikes = [itp.SpikeEvent(t, c) for t, c in
-                  [(0, 0), (1, 0), (2, 5), (3, 11)]]
+        spikes = train([0, 1, 2, 3], [0, 0, 5, 11])
         assert decoder.sparsity_percent(spikes, 120) == pytest.approx(2.5)
 
     def test_no_spikes(self):
-        assert decoder.sparsity_percent([], 120) == 0.0
+        sparsity = decoder.sparsity_percent(train([], []), 120)
+        assert sparsity == 0.0 and math.copysign(1.0, sparsity) == 1.0
 
     def test_all_channels(self):
-        spikes = [itp.SpikeEvent(c, c) for c in range(120)]
+        spikes = train(range(120), range(120))
         assert decoder.sparsity_percent(spikes, 120) == 100.0
 
 
@@ -172,8 +191,8 @@ class TestEncodingReport:
                                                      rel=1e-9)
 
     def test_silence_reports_none_snr(self, bank, channel_map):
-        d = decoder.encoding_report(np.zeros(2000), [], [], bank, channel_map,
-                                    bank.sample_rate)
+        d = decoder.encoding_report(np.zeros(2000), [], train([], []), bank,
+                                    channel_map, bank.sample_rate)
         assert d["code_count"] == 0
         assert d["snr_code_db"] is None
         assert d["snr_spike_db"] is None

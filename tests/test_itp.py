@@ -7,6 +7,10 @@ from spiketrum import itp
 from spiketrum.encoder import Code, EncoderConfig, SegmentBuffer, encode_segment
 
 
+def train(times, channels):
+    return np.rec.fromarrays([times, channels], dtype=itp.SPIKE_DTYPE)
+
+
 class TestChannelMap:
     def test_defaults(self, channel_map):
         assert channel_map.levels == itp.DEFAULT_LEVELS
@@ -79,7 +83,8 @@ class TestCodesToSpikes:
     def test_single_code_example(self, channel_map):
         codes = [Code(m=7, tau=100, s=0.4, segment_index=3)]
         spikes = itp.codes_to_spikes(codes, channel_map, 696)
-        assert spikes == [itp.SpikeEvent(time=3 * 696 + 100, channel=22)]
+        assert spikes.dtype == itp.SPIKE_DTYPE
+        assert np.array_equal(spikes, train([3 * 696 + 100], [22]))
 
     def test_negative_tau_clamps_to_segment_start(self, channel_map):
         codes = [Code(m=0, tau=-50, s=1.0, segment_index=2)]
@@ -116,8 +121,8 @@ class TestCodesToSpikes:
                  for _ in range(50)]
         shuffled = list(codes)
         rng.shuffle(shuffled)
-        assert itp.codes_to_spikes(codes, channel_map, 696) == \
-            itp.codes_to_spikes(shuffled, channel_map, 696)
+        assert np.array_equal(itp.codes_to_spikes(codes, channel_map, 696),
+                              itp.codes_to_spikes(shuffled, channel_map, 696))
 
     def test_constant_tone_lands_on_one_channel_per_kernel(self, bank, channel_map):
         for m in (0, 19, 39):
@@ -125,6 +130,50 @@ class TestCodesToSpikes:
                      for t in range(0, 600, 100)]
             spikes = itp.codes_to_spikes(codes, channel_map, 696)
             assert {sp.channel for sp in spikes} == {m * 3 + 1}
+
+    def test_matches_scalar_reference_on_criterion_08_intensities(self, channel_map):
+        # the same 10,003 intensities as acceptance criterion 08, for every kernel
+        rng = np.random.default_rng(108)
+        levels = np.asarray(channel_map.levels)
+        values = np.concatenate([
+            rng.uniform(-30, 30, 9000),
+            rng.uniform(-0.5, 0.5, 994),
+            levels, -levels,
+            (levels[:-1] + levels[1:]) / 2,
+            [0.0],
+        ])
+        assert len(values) == 10003
+        distance = np.abs(np.abs(values)[:, None] - levels)
+        nearest = distance.min(axis=1, keepdims=True)
+        assert np.any(np.sum(distance == nearest, axis=1) > 1)  # ties present
+        quantized = [itp.quantize_intensity(float(v), channel_map) for v in values]
+        for m in range(channel_map.kernel_count):
+            codes = [Code(m=m, tau=0, s=float(v), segment_index=i)
+                     for i, v in enumerate(values)]
+            spikes = itp.codes_to_spikes(codes, channel_map, 696)
+            want = [itp.channel_of(m, q, channel_map) for q in quantized]
+            assert spikes.channel.tolist() == want, m
+
+    def test_kernel_out_of_range(self, channel_map):
+        for m in (-1, 40):
+            with pytest.raises(ValueError, match=f"kernel index {m}"):
+                itp.codes_to_spikes([Code(m=0, tau=0, s=1.0), Code(m=m, tau=0, s=1.0)],
+                                    channel_map, 696)
+
+    def test_negative_segment_index(self, channel_map):
+        with pytest.raises(ValueError, match="negative segment index -1"):
+            itp.codes_to_spikes([Code(m=0, tau=0, s=1.0, segment_index=-1)],
+                                channel_map, 696)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_intensity(self, channel_map, s):
+        with pytest.raises(ValueError, match="non-finite intensity"):
+            itp.codes_to_spikes([Code(m=0, tau=0, s=1.0), Code(m=1, tau=0, s=s)],
+                                channel_map, 696)
+
+    def test_empty(self, channel_map):
+        spikes = itp.codes_to_spikes([], channel_map, 696)
+        assert len(spikes) == 0 and spikes.dtype == itp.SPIKE_DTYPE
 
 
 class TestSpikesToCodes:
@@ -147,33 +196,24 @@ class TestSpikesToCodes:
         assert back[0].s == 0.4115
 
     def test_iteration_counts_per_segment(self, channel_map):
-        spikes = [
-            itp.SpikeEvent(time=10, channel=0),
-            itp.SpikeEvent(time=20, channel=5),
-            itp.SpikeEvent(time=700, channel=9),
-        ]
+        spikes = train([10, 20, 700], [0, 5, 9])
         back = itp.spikes_to_codes(spikes, channel_map, 696)
         assert [c.iteration for c in back] == [0, 1, 0]
 
     def test_channel_out_of_range(self, channel_map):
         with pytest.raises(itp.AerFormatError):
-            itp.spikes_to_codes([itp.SpikeEvent(0, 120)], channel_map, 696)
+            itp.spikes_to_codes(train([0], [120]), channel_map, 696)
 
 
 def sample_spikes():
-    return [
-        itp.SpikeEvent(time=0, channel=0),
-        itp.SpikeEvent(time=696, channel=22),
-        itp.SpikeEvent(time=696, channel=97),
-        itp.SpikeEvent(time=123456, channel=119),
-    ]
+    return train([0, 696, 696, 123456], [0, 22, 97, 119])
 
 
 class TestAerText:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "spikes.txt"
         itp.write_aer_text(sample_spikes(), path)
-        assert itp.read_aer_text(path) == sample_spikes()
+        assert np.array_equal(itp.read_aer_text(path), sample_spikes())
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -183,14 +223,29 @@ class TestAerText:
 
     def test_empty(self, tmp_path):
         path = tmp_path / "none.txt"
-        itp.write_aer_text([], path)
-        assert itp.read_aer_text(path) == []
+        itp.write_aer_text(train([], []), path)
+        spikes = itp.read_aer_text(path)
+        assert len(spikes) == 0 and spikes.dtype == itp.SPIKE_DTYPE
 
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0,0\n12,wat\n")
         with pytest.raises(itp.AerFormatError, match="line 2"):
             itp.read_aer_text(path)
+
+    @pytest.mark.parametrize("line", ["-5,3", f"{2 ** 64},3", f"0,{2 ** 16}", "0,-1"])
+    def test_out_of_range_event_names_lineno(self, tmp_path, line):
+        path = tmp_path / "range.txt"
+        path.write_text(f"0,0\n{line}\n")
+        with pytest.raises(itp.AerFormatError, match="out of range on line 2"):
+            itp.read_aer_text(path)
+
+    def test_largest_values_accepted(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        path.write_text(f"{2 ** 64 - 1},{2 ** 16 - 1}\n")
+        spikes = itp.read_aer_text(path)
+        assert spikes.time.tolist() == [2 ** 64 - 1]
+        assert spikes.channel.tolist() == [2 ** 16 - 1]
 
     def test_binary_content_detected(self, tmp_path):
         path = tmp_path / "bin.txt"
@@ -204,7 +259,7 @@ class TestAerBinary:
         path = tmp_path / "spikes.spka"
         itp.write_aer_binary(sample_spikes(), path, 16000.0)
         spikes, rate, channel_count = itp.read_aer_binary(path)
-        assert spikes == sample_spikes()
+        assert np.array_equal(spikes, sample_spikes())
         assert channel_count == 120
         assert rate == 16000.0
 
@@ -217,9 +272,9 @@ class TestAerBinary:
 
     def test_empty(self, tmp_path):
         path = tmp_path / "none.spka"
-        itp.write_aer_binary([], path, 16000.0)
+        itp.write_aer_binary(train([], []), path, 16000.0)
         spikes, _, _ = itp.read_aer_binary(path)
-        assert spikes == []
+        assert len(spikes) == 0 and spikes.dtype == itp.SPIKE_DTYPE
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spka"
@@ -229,7 +284,7 @@ class TestAerBinary:
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "v9.spka"
-        itp.write_aer_binary([], path, 16000.0)
+        itp.write_aer_binary(train([], []), path, 16000.0)
         blob = bytearray(path.read_bytes())
         blob[4] = 9
         path.write_bytes(bytes(blob))
@@ -246,9 +301,18 @@ class TestAerBinary:
 
     def test_channel_exceeding_declared_count(self, tmp_path):
         path = tmp_path / "over.spka"
-        itp.write_aer_binary([itp.SpikeEvent(0, 119)], path,
+        itp.write_aer_binary(train([0], [119]), path,
                              16000.0, channel_count=64)
         with pytest.raises(itp.AerFormatError, match="channel"):
+            itp.read_aer_binary(path)
+
+    def test_first_bad_channel_and_offset_named(self, tmp_path):
+        path = tmp_path / "over.spka"
+        itp.write_aer_binary(train([0, 1, 2], [3, 70, 90]), path,
+                             16000.0, channel_count=64)
+        # 20-byte header, 10-byte records: the second record starts at 30
+        with pytest.raises(itp.AerFormatError,
+                           match="channel 70 at offset 30 exceeds declared count 64"):
             itp.read_aer_binary(path)
 
 
@@ -257,12 +321,12 @@ class TestReadAerSniff:
         path = tmp_path / "spikes.dat"
         itp.write_aer_binary(sample_spikes(), path, 16000.0)
         spikes, rate, channel_count = itp.read_aer(path)
-        assert spikes == sample_spikes()
+        assert np.array_equal(spikes, sample_spikes())
         assert (rate, channel_count) == (16000.0, 120)
 
     def test_dispatches_text(self, tmp_path):
         path = tmp_path / "spikes.txt"
         itp.write_aer_text(sample_spikes(), path)
         spikes, rate, channel_count = itp.read_aer(path)
-        assert spikes == sample_spikes()
+        assert np.array_equal(spikes, sample_spikes())
         assert rate is None and channel_count is None
