@@ -51,6 +51,7 @@ from .decoder import (
 from .fixed_point import (
     Q5_28,
     QFormat,
+    SaturationFlag,
     encode_segment_fixed,
     parity_harness,
     parse_qformat,

@@ -12,7 +12,7 @@ from scipy.signal import chirp
 from scipy.stats import spearmanr
 
 from . import audio_io, decoder, encoder, itp, kernel_bank
-from .fixed_point import parse_qformat
+from .fixed_point import SaturationFlag, parse_qformat
 
 
 def _load_bank(args):
@@ -30,18 +30,19 @@ def _write_spikes(spikes, path, bank, channel_map):
 
 
 def cmd_encode(args):
-    fixed = None
+    fixed = flag = None
     if args.fixed is not None:
         if args.path is not None:
             raise ValueError("--path does not apply with --fixed: the integer "
                              "datapath has its own correlation")
         fmt = parse_qformat(args.fixed)
         fixed = (fmt.int_bits, fmt.frac_bits)
+        flag = SaturationFlag()
     config = encoder.EncoderConfig(sps=args.sps, threshold=args.threshold,
                                    path=args.path or "fft", fixed=fixed)
     bank = _load_bank(args)
     samples, _ = audio_io.read_wav(args.input, expected_rate=bank.sample_rate)
-    codes = encoder.encode_stream(samples, bank, config)
+    codes = encoder.encode_stream(samples, bank, config, flag)
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
     spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)
     _write_spikes(spikes, args.output, bank, channel_map)
@@ -56,6 +57,10 @@ def cmd_encode(args):
     duration = len(samples) / bank.sample_rate
     per_second = len(spikes) / duration if duration > 0 else 0.0
     print(f"{len(spikes)} spikes ({per_second:.1f} per second)")
+    if flag:
+        print(f"warning: {fmt} arithmetic saturated during the encode: a code's "
+              f"correlation or a subtraction was clipped to the format's range",
+              file=sys.stderr)
     return 0
 
 

@@ -100,7 +100,7 @@ def spike_entropy(spikes, total_channels):
         return 0.0
     counts = np.bincount(spikes["channel"], minlength=total_channels)
     p = counts[counts > 0] / len(spikes)
-    return float(-(p @ np.log2(p)))
+    return float(0.0 - p @ np.log2(p))  # 0.0 - x, not -x: +0.0 for one channel
 
 
 def sparsity_percent(spikes, total_channels):

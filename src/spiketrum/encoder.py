@@ -277,14 +277,17 @@ def _worker_count():
     return max(1, workers)
 
 
-def encode_stream(samples, bank, config):
+def encode_stream(samples, bank, config, flag=None):
     """Encode a whole sample stream; returns all codes in segment order.
 
     Segments are independent, so with SPIKETRUM_THREADS > 1 they encode on
     a thread pool; results are concatenated in segment order either way and
     the output is identical for any worker count. Non-finite samples are
-    rejected, naming the first one's index; so are samples outside the
-    fixed-point format's range, which would otherwise saturate silently.
+    rejected, naming the first one's index; so are samples, and a
+    threshold, outside the fixed-point format's range, which would
+    otherwise saturate silently. On the fixed datapath, flag (a
+    fixed_point.SaturationFlag) is set when the arithmetic saturates
+    during the pursuit; passing one without config.fixed is an error.
     """
     samples = np.asarray(samples, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(samples))
@@ -296,11 +299,18 @@ def encode_stream(samples, bank, config):
 
         fmt = fixed_point.QFormat(*config.fixed)
         lo, hi = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+        if config.threshold > hi:
+            raise ValueError(f"threshold {config.threshold} outside the {fmt} "
+                             f"range [{lo}, {hi}]")
         bad = np.flatnonzero((samples < lo) | (samples > hi))
         if bad.size:
             raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "
                              f"the {fmt} range [{lo}, {hi}]")
-        encode_one = lambda buf: fixed_point.encode_segment_fixed(buf, bank, config)
+        encode_one = lambda buf: fixed_point.encode_segment_fixed(buf, bank, config,
+                                                                  flag=flag)
+    elif flag is not None:
+        raise ValueError("a saturation flag needs the fixed-point datapath "
+                         "(config.fixed); the float datapath does not saturate")
     else:
         encode_one = lambda buf: encode_segment(buf, bank, config)
     workers = _worker_count()

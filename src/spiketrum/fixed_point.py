@@ -14,6 +14,29 @@ with a = ah * 2**17 + al, partial products stay below 2**50 and the
 1353-tap correlation partials below 2**46, so every intermediate fits
 comfortably in int64 (and, where routed through float64 matrix products
 or FFTs, below the 2**53 integer-exact ceiling).
+
+Like the float loop, the fixed loop refreshes only the kernel rows that
+can still win. Each row n carries an upper bound on its peak |r[n, :]| in
+raw units: its peak when last computed, raised after every code (m, tau,
+s_raw) by
+
+    |s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 2,
+
+where k_q,n = kernel_raw[n] / 2**frac_bits is the quantized kernel and
+B_q the spectral peak bound of their cross-correlations. The first term
+bounds s_raw times the quantized kernels' cross-correlation; the second
+covers the elementwise rounding of the q_mul product (each tap off by at
+most half a unit, weighted by kernel n's taps); the +2 covers the rounding
+of the correlation to raw units before and after, with margin. Clipping
+the correlation to the format only shrinks differences, so the bound
+holds for saturated rows too. A subtraction whose product or residual
+clips is no longer s times a kernel, so it sets every bound to +inf and
+the next iteration refreshes all rows. Each iteration takes the two
+split-half rffts once, then transforms contiguous bands of rows until
+every row left stale has a bound below the best exact peak. Correlations
+are exact integers, so the winner (the smallest kernel index at the best
+peak, then its first lag) and the residual are bit-identical to
+recomputing every row.
 """
 
 from __future__ import annotations
@@ -24,8 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import Code, MAX_SHIFT, _circular_windows
-from .kernel_bank import FFT_SIZE
+from .encoder import Code, MAX_SHIFT, _circular_windows, _run_around
+from .kernel_bank import FFT_SIZE, cross_peak_bound
 
 _WIDTH = 34
 _SPLIT = 17  # low-half width for the bit-17 operand split
@@ -183,6 +206,8 @@ class _FixedTables:
     gemm_lo: np.ndarray             # (L, kernels) float64, low halves
     spec_hi: np.ndarray             # (kernels, bins) conjugate spectra
     spec_lo: np.ndarray
+    peak_bound: np.ndarray          # (kernels, kernels) B_q of the quantized kernels
+    kernel_l1: np.ndarray           # (kernels,) L1 norms of the quantized kernels
     kernel_length: int = field(init=False)
 
     def __post_init__(self):
@@ -199,6 +224,7 @@ def _tables_for(bank, fmt):
         tables = per_bank.get(fmt)
         if tables is None:
             kernel_raw = to_fixed(bank.samples_matrix, fmt)
+            quantized = kernel_raw / fmt.scale  # exact: |kernel_raw| < 2**53
             hi = (kernel_raw >> _SPLIT).astype(np.float64)
             lo = (kernel_raw & _SPLIT_MASK).astype(np.float64)
             tables = _FixedTables(
@@ -207,12 +233,14 @@ def _tables_for(bank, fmt):
                 gemm_lo=np.ascontiguousarray(lo.T),
                 spec_hi=np.conj(np.fft.rfft(hi, n=FFT_SIZE, axis=1)),
                 spec_lo=np.conj(np.fft.rfft(lo, n=FFT_SIZE, axis=1)),
+                peak_bound=cross_peak_bound(np.fft.rfft(quantized, n=FFT_SIZE, axis=1)),
+                kernel_l1=np.abs(quantized).sum(axis=1),
             )
             per_bank[fmt] = tables
         return tables
 
 
-def _combine_parts(p_hh, p_x, p_ll, fmt, flag):
+def _combine_parts(p_hh, p_x, p_ll, fmt):
     """Assemble split correlation partials and round once per lag.
 
     The exact accumulator is p_hh * 2**34 + p_x * 2**17 + p_ll; regrouped
@@ -220,81 +248,138 @@ def _combine_parts(p_hh, p_x, p_ll, fmt, flag):
     """
     m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
     r0 = p_ll & _SPLIT_MASK
-    return _rne_combine(m, r0, fmt, flag)
+    return _rne_combine(m, r0, fmt, None)
 
 
-def _correlate_raw_gemm(raw_data, tables, fmt, flag=None):
+def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None)):
     """Exact integer correlation through float64 matrix products.
 
-    Windowed split halves are at most 2**17, so each 1353-tap partial sum
-    is below 2**46 and float64 dot products are integer-exact.
+    Returns the kernel rows selected by rows, one row per kernel. Windowed
+    split halves are at most 2**17, so each 1353-tap partial sum is below
+    2**46 and float64 dot products are integer-exact.
     """
     length = tables.kernel_length
+    gemm_hi, gemm_lo = tables.gemm_hi[:, rows], tables.gemm_lo[:, rows]
     w_hi = _circular_windows((raw_data >> _SPLIT).astype(np.float64), length)
     w_lo = _circular_windows((raw_data & _SPLIT_MASK).astype(np.float64), length)
-    p_hh = (w_hi @ tables.gemm_hi).astype(np.int64).T
-    p_x = ((w_hi @ tables.gemm_lo) + (w_lo @ tables.gemm_hi)).astype(np.int64).T
-    p_ll = (w_lo @ tables.gemm_lo).astype(np.int64).T
-    return _combine_parts(p_hh, p_x, p_ll, fmt, flag)
+    p_hh = (w_hi @ gemm_hi).astype(np.int64).T
+    p_x = ((w_hi @ gemm_lo) + (w_lo @ gemm_hi)).astype(np.int64).T
+    p_ll = (w_lo @ gemm_lo).astype(np.int64).T
+    return _combine_parts(p_hh, p_x, p_ll, fmt)
 
 
-def _correlate_raw_fft(raw_data, tables, fmt, flag=None):
+def _split_spectra(raw_data):
+    """rffts of the high and low 17-bit halves of raw data."""
+    return (np.fft.rfft((raw_data >> _SPLIT).astype(np.float64)),
+            np.fft.rfft((raw_data & _SPLIT_MASK).astype(np.float64)))
+
+
+def _correlate_raw_fft(raw_data, tables, fmt, rows=slice(None), spectra=None):
     """Same integers through the frequency domain.
 
     The float64 transforms of the split halves land within _FFT_GUARD of
     the exact integer partials, so rounding recovers them; if a partial
-    ever drifts past the guard the call reruns on the exact matrix route.
+    ever drifts past the guard the call reruns the same rows on the exact
+    matrix route. spectra, when given, is _split_spectra(raw_data), so a
+    caller refreshing several bands of rows transforms the data once.
     """
-    b_hi = np.fft.rfft((raw_data >> _SPLIT).astype(np.float64))
-    b_lo = np.fft.rfft((raw_data & _SPLIT_MASK).astype(np.float64))
+    b_hi, b_lo = _split_spectra(raw_data) if spectra is None else spectra
+    spec_hi, spec_lo = tables.spec_hi[rows], tables.spec_lo[rows]
     parts = (
-        np.fft.irfft(b_hi[None, :] * tables.spec_hi, n=FFT_SIZE, axis=1),
-        np.fft.irfft(b_hi[None, :] * tables.spec_lo
-                     + b_lo[None, :] * tables.spec_hi, n=FFT_SIZE, axis=1),
-        np.fft.irfft(b_lo[None, :] * tables.spec_lo, n=FFT_SIZE, axis=1),
+        np.fft.irfft(b_hi * spec_hi, n=FFT_SIZE, axis=1),
+        np.fft.irfft(b_hi * spec_lo + b_lo * spec_hi, n=FFT_SIZE, axis=1),
+        np.fft.irfft(b_lo * spec_lo, n=FFT_SIZE, axis=1),
     )
     rounded = []
     for part in parts:
         snapped = np.rint(part)
         if np.max(np.abs(part - snapped)) >= _FFT_GUARD:
-            return _correlate_raw_gemm(raw_data, tables, fmt, flag)
+            return _correlate_raw_gemm(raw_data, tables, fmt, rows)
         rounded.append(snapped.astype(np.int64))
-    return _combine_parts(*rounded, fmt, flag)
+    return _combine_parts(*rounded, fmt)
 
 
-def encode_segment_fixed(buffer, bank, config, energy_trace=None):
+def _peak_step(tables, m, s_raw):
+    """Most that subtracting q_mul(s_raw, kernel m) moves each row's peak, in raw units.
+
+    The terms are those of the module docstring: the scaled cross-
+    correlation bound, half a unit of product rounding per kernel tap, and
+    the correlation's own rounding before and after, with margin.
+    """
+    return abs(s_raw) * tables.peak_bound[m] + (0.5 * tables.kernel_l1 + 2.0)
+
+
+def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
     """Matching pursuit on the integer datapath; mutates buffer to the residual.
 
     Mirrors the float loop: exact wide-accumulator correlation rounded once
     per lag, integer argmax with the same tie order, raw-integer feedback
     comparison against the quantized threshold, and a rounded, saturating
-    subtraction. The buffer ends up holding the dequantized residual.
+    subtraction. Only rows whose peak bound can still win are recomputed
+    (see the module docstring); the codes and residual are those of a full
+    recompute. The buffer ends up holding the dequantized residual.
     When given, energy_trace collects the residual energy before the loop
     and after every subtraction so callers can watch for quantization
-    pushing energy up instead of down.
+    pushing energy up instead of down, and flag (a SaturationFlag) is set
+    if the buffer saturates on quantization, a code's correlation sits at
+    the format's limit, or a subtraction clips.
     """
     fmt = QFormat(*config.fixed) if config.fixed is not None else Q5_28
     tables = _tables_for(bank, fmt)
-    raw = to_fixed(buffer.data, fmt)
+    raw = to_fixed(buffer.data, fmt, flag)
     threshold_raw = to_fixed(config.threshold, fmt)
     offsets = np.arange(tables.kernel_length)
+    count = bank.kernel_count
+    r = np.empty((count, FFT_SIZE), dtype=np.int64)
+    peak = np.empty(count)               # max |r[n, :]| of rows refreshed this iteration, else -1
+    bound = np.full(count, np.inf)       # >= the peak row n would have if refreshed now
+    floor = np.zeros(count)              # lower bound on that peak; only picks the first band
+    stale = np.empty(count)              # bound of rows not refreshed yet, else -inf
+    lo, hi = 0, count
     if energy_trace is not None:
         residual = to_float(raw, fmt)
         energy_trace.append(float(residual @ residual))
     codes = []
     for iteration in range(config.sps):
-        r = _correlate_raw_fft(raw, tables, fmt)
-        flat = int(np.argmax(np.abs(r)))
-        m, u = divmod(flat, FFT_SIZE)
+        spectra = _split_spectra(raw)
+        peak.fill(-1.0)
+        stale[:] = bound
+        best = 0
+        while True:
+            r[lo:hi] = _correlate_raw_fft(raw, tables, fmt, slice(lo, hi), spectra)
+            band = r[lo:hi]
+            top = np.maximum(band.max(axis=1), -band.min(axis=1))
+            peak[lo:hi] = bound[lo:hi] = floor[lo:hi] = top
+            stale[lo:hi] = -np.inf
+            best = max(best, int(top.max()))
+            reach = stale >= best
+            if not reach.any():
+                break
+            lo, hi = _run_around(reach.tolist(), int(np.argmax(stale)))
+        m = int(np.argmax(peak))
+        u = int(np.argmax(np.abs(r[m])))
         s_raw = int(r[m, u])
         if abs(s_raw) < threshold_raw:
             break
+        if flag is not None and s_raw in (fmt.raw_min, fmt.raw_max):
+            flag.seen = True
         tau = u if u < MAX_SHIFT else u - FFT_SIZE
         codes.append(Code(m, tau, to_float(s_raw, fmt),
                           buffer.segment_index, iteration))
         idx = (u + offsets) % FFT_SIZE
-        product = q_mul(s_raw, tables.kernel_raw[m], fmt)
-        raw[idx] = np.clip(raw[idx] - product, fmt.raw_min, fmt.raw_max)
+        clipped = SaturationFlag()
+        product = q_mul(s_raw, tables.kernel_raw[m], fmt, clipped)
+        raw[idx] = _saturate_int(raw[idx] - product, fmt, clipped)
+        if clipped:
+            # a clipped update is no longer s times a kernel: recompute all rows
+            bound.fill(np.inf)
+            if flag is not None:
+                flag.seen = True
+        else:
+            step = _peak_step(tables, m, s_raw)
+            bound += step
+            floor -= step
+        lo, hi = _run_around((bound >= floor.max()).tolist(), int(np.argmax(floor)))
         if energy_trace is not None:
             residual = to_float(raw, fmt)
             energy_trace.append(float(residual @ residual))

@@ -161,12 +161,10 @@ class KernelBank:
     each row's 2048-point transform, zero-padded (the waveforms are real,
     so the negative half is redundant by conjugate symmetry).
     ``peak_bound[m, n]`` bounds the peak over all lags of the circular
-    cross-correlation of kernels m and n: (1/2048) * sum_k w_k * |K_m(k)|
-    * |K_n(k)|, where w_k is 1 at DC and Nyquist and 2 elsewhere, raised
-    by a relative 1e-9 so that rounding never pulls it below the peak an
-    FFT computes. The float encoder prunes its correlation refresh with
-    it. Treat as read-only after construction; encoders on any number of
-    threads may share one bank.
+    cross-correlation of kernels m and n (see :func:`cross_peak_bound`).
+    The float encoder prunes its correlation refresh with it. Treat as
+    read-only after construction; encoders on any number of threads may
+    share one bank.
     """
 
     kernels: list[Kernel]
@@ -182,13 +180,7 @@ class KernelBank:
         self.samples_matrix = np.stack([k.samples for k in self.kernels])
         self.conj_spectra = np.conj(
             np.fft.rfft(self.samples_matrix, n=FFT_SIZE, axis=1))
-        magnitude = np.abs(self.conj_spectra)
-        weight = np.full(magnitude.shape[1], 2.0)
-        weight[[0, -1]] = 1.0
-        # einsum rather than @: a BLAS product allocates BLAS work buffers
-        # that the transform-only encode paths otherwise never need
-        self.peak_bound = np.einsum("mk,nk->mn", magnitude * weight, magnitude) * (
-            (1.0 + _BOUND_SLACK) / FFT_SIZE)
+        self.peak_bound = cross_peak_bound(self.conj_spectra)
 
     @property
     def kernel_count(self):
@@ -206,6 +198,24 @@ class KernelBank:
     @property
     def center_frequencies(self):
         return np.array([k.center_freq for k in self.kernels])
+
+
+def cross_peak_bound(spectra):
+    """Bound on the peak over all lags of every pair's circular cross-correlation.
+
+    spectra holds one row per kernel: the nonnegative-frequency half of its
+    FFT_SIZE-point transform (conjugated or not). Entry [m, n] is (1/2048)
+    * sum_k w_k * |K_m(k)| * |K_n(k)|, where w_k is 1 at DC and Nyquist and
+    2 elsewhere, raised by a relative 1e-9 so that rounding never pulls it
+    below the peak an FFT computes.
+    """
+    magnitude = np.abs(spectra)
+    weight = np.full(magnitude.shape[1], 2.0)
+    weight[[0, -1]] = 1.0
+    # einsum rather than @: a BLAS product allocates BLAS work buffers
+    # that the transform-only encode paths otherwise never need
+    return np.einsum("mk,nk->mn", magnitude * weight, magnitude) * (
+        (1.0 + _BOUND_SLACK) / FFT_SIZE)
 
 
 def build_bank(config=None):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spiketrum import audio_io, cli, itp, kernel_bank
-from spiketrum.encoder import read_codes_csv
+from spiketrum.encoder import EncoderConfig, encode_stream, read_codes_csv
 
 
 def spike_train(times, channels):
@@ -64,6 +64,33 @@ class TestEncode:
                        "--fixed", "Q5.28", "--sps", "4"])
         assert rc == 0
         assert len(itp.read_aer_text(out)) == 23 * 4
+        assert capsys.readouterr().err == ""
+
+    def test_fixed_threshold_outside_the_format(self, noise_wav, tmp_path, capsys):
+        rc = cli.main(["encode", noise_wav, "-o", str(tmp_path / "x.txt"),
+                       "--fixed", "Q5.28", "--threshold", "100"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: threshold 100.0 outside the Q5.28 "
+                                           "range [-32.0, 31.99999999627471]\n")
+
+    def test_fixed_saturation_warning(self, tmp_path, capsys):
+        # a loud tone correlates far past Q0.33's range of [-1, 1); the
+        # warning goes to stderr and leaves stdout and the spike file alone
+        wav, out, want = tmp_path / "loud.wav", tmp_path / "s.spka", tmp_path / "w.spka"
+        t = np.arange(3200) / 16000.0
+        audio_io.write_wav(wav, 0.9 * np.sin(2 * np.pi * 440.0 * t), 16000)
+        assert cli.main(["encode", str(wav), "-o", str(out), "--fixed", "Q0.33",
+                         "--sps", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("warning: Q0.33 arithmetic saturated")
+        bank = kernel_bank.build_bank()
+        samples, _ = audio_io.read_wav(wav)
+        codes = encode_stream(samples, bank, EncoderConfig(sps=2, fixed=(0, 33)))
+        spikes = itp.codes_to_spikes(codes, itp.ChannelMap(), bank.segment_length)
+        itp.write_aer_binary(spikes, want, 16000.0, 120)
+        assert out.read_bytes() == want.read_bytes()
+        assert captured.out == f"{len(spikes)} spikes ({len(spikes) / 0.2:.1f} per second)\n"
 
     def test_fixed_rejects_fft_path(self, noise_wav, tmp_path, capsys):
         rc = cli.main(["encode", noise_wav, "-o", str(tmp_path / "x.txt"),

@@ -134,7 +134,8 @@ class TestEntropy:
 
     def test_single_channel_is_zero(self):
         spikes = train(range(10), [7] * 10)
-        assert decoder.spike_entropy(spikes, 120) == 0.0
+        entropy = decoder.spike_entropy(spikes, 120)
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_empty_is_zero(self):
         entropy = decoder.spike_entropy(train([], []), 120)

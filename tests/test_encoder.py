@@ -8,6 +8,7 @@ import pytest
 
 from spiketrum import decoder
 from spiketrum import encoder as enc
+from spiketrum import fixed_point as fx
 
 
 def place_kernel(bank, m, start, scale, buffer_len=enc.FFT_SIZE):
@@ -407,6 +408,25 @@ class TestEncodeStream:
         samples[900] = -32.0
         codes = enc.encode_stream(samples, bank, enc.EncoderConfig(sps=2, fixed=(5, 28)))
         assert len(codes) == 4
+
+    def test_fixed_rejects_a_threshold_outside_the_format(self, bank):
+        samples = np.random.default_rng(25).uniform(-31.9, 31.9, 1000)
+        message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enc.encode_stream(samples, bank,
+                              enc.EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
+
+    def test_fixed_saturation_flag(self, bank):
+        rng = np.random.default_rng(26)
+        config = enc.EncoderConfig(sps=4, fixed=(5, 28))
+        quiet, loud = fx.SaturationFlag(), fx.SaturationFlag()
+        enc.encode_stream(rng.uniform(-1, 1, 1000), bank, config, quiet)
+        enc.encode_stream(rng.uniform(-31.9, 31.9, 1000), bank, config, loud)
+        assert not quiet and loud
+
+    def test_saturation_flag_needs_the_fixed_datapath(self, bank):
+        with pytest.raises(ValueError, match="saturation flag needs the fixed-point"):
+            enc.encode_stream(np.ones(100), bank, enc.EncoderConfig(), fx.SaturationFlag())
 
     def test_float_path_takes_large_samples(self, bank):
         samples = np.zeros(1000)

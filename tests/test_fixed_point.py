@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spiketrum import fixed_point as fx
-from spiketrum.encoder import EncoderConfig, SegmentBuffer
+from spiketrum.encoder import MAX_SHIFT, Code, EncoderConfig, SegmentBuffer
 from spiketrum.kernel_bank import FFT_SIZE
 
 
@@ -194,6 +194,18 @@ class TestDualRoute:
             want = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
             np.testing.assert_array_equal(got, want)
 
+    def test_band_and_guard_fallback_give_the_same_rows(self, bank, monkeypatch):
+        rng = np.random.default_rng(67)
+        tables = fx._tables_for(bank, fx.Q5_28)
+        raw = fx.to_fixed(np.pad(rng.uniform(-1, 1, 696), (0, 2048 - 696)))
+        full = fx._correlate_raw_fft(raw, tables, fx.Q5_28)
+        band = slice(11, 17)
+        got = fx._correlate_raw_fft(raw, tables, fx.Q5_28, band, fx._split_spectra(raw))
+        np.testing.assert_array_equal(got, full[band])
+        monkeypatch.setattr(fx, "_FFT_GUARD", 0.0)  # every band falls back
+        got = fx._correlate_raw_fft(raw, tables, fx.Q5_28, band, fx._split_spectra(raw))
+        np.testing.assert_array_equal(got, full[band])
+
     def test_saturated_input_still_exact(self, bank):
         # raw values pinned at the format limits stress the largest products
         tables = fx._tables_for(bank, fx.Q5_28)
@@ -239,12 +251,190 @@ class TestEncodeSegmentFixed:
         assert len(trace) == len(codes) + 1
         assert trace[-1] < trace[0]
 
+    def test_saturation_flag_clear_in_range(self, bank):
+        rng = np.random.default_rng(58)
+        flag = fx.SaturationFlag()
+        fx.encode_segment_fixed(SegmentBuffer.from_samples(rng.uniform(-1, 1, 696)),
+                                bank, EncoderConfig(sps=16, fixed=(5, 28)), flag=flag)
+        assert not flag
+
+    def test_saturation_flag_on_a_clipped_subtraction(self, bank):
+        # seven full-scale impulses: no correlation reaches the format's
+        # limit, but a subtraction pushes a sample past it
+        samples = np.zeros(696)
+        samples[[300, 301, 304, 305, 306, 310, 324]] = [-31.9] + [31.9] * 6
+        config = EncoderConfig(sps=2, fixed=(5, 28))
+        _, clips = full_recompute_fixed(SegmentBuffer.from_samples(samples), bank, config)
+        flag = fx.SaturationFlag()
+        codes = fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
+                                        config, flag=flag)
+        assert clips > 0
+        assert all(abs(c.s) < 31.9 for c in codes)
+        assert flag
+
+    def test_saturation_flag_on_a_saturated_correlation(self, bank):
+        # 40 times a unit-norm kernel correlates to 40, past Q5.28's top,
+        # while its samples and the subtraction stay far inside the range
+        buf = SegmentBuffer(np.zeros(2048), 0, 696)
+        buf.data[100:100 + bank.kernel_length] = 40.0 * bank.kernels[7].samples
+        assert np.max(np.abs(buf.data)) < 16.0
+        flag = fx.SaturationFlag()
+        codes = fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=1, fixed=(5, 28)),
+                                        flag=flag)
+        assert fx.to_fixed(codes[0].s) in (fx.Q5_28.raw_min, fx.Q5_28.raw_max)
+        assert flag
+
     def test_iteration_numbers(self, bank):
         rng = np.random.default_rng(57)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
         config = EncoderConfig(sps=5, path="direct", fixed=(5, 28))
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert [c.iteration for c in codes] == list(range(5))
+
+
+def full_recompute_fixed(buffer, bank, config):
+    """The unpruned fixed loop: every kernel row recomputed every iteration.
+
+    Returns the codes and the number of subtractions that clipped the
+    residual or the product.
+    """
+    fmt = fx.QFormat(*config.fixed)
+    tables = fx._tables_for(bank, fmt)
+    raw = fx.to_fixed(buffer.data, fmt)
+    threshold_raw = fx.to_fixed(config.threshold, fmt)
+    offsets = np.arange(tables.kernel_length)
+    codes = []
+    clips = 0
+    for iteration in range(config.sps):
+        r = fx._correlate_raw_fft(raw, tables, fmt)
+        m, u = divmod(int(np.argmax(np.abs(r))), FFT_SIZE)
+        s_raw = int(r[m, u])
+        if abs(s_raw) < threshold_raw:
+            break
+        tau = u if u < MAX_SHIFT else u - FFT_SIZE
+        codes.append(Code(m, tau, fx.to_float(s_raw, fmt),
+                          buffer.segment_index, iteration))
+        idx = (u + offsets) % FFT_SIZE
+        flag = fx.SaturationFlag()
+        product = fx.q_mul(s_raw, tables.kernel_raw[m], fmt, flag)
+        update = raw[idx] - product
+        clips += bool(flag) or bool(np.any((update < fmt.raw_min)
+                                           | (update > fmt.raw_max)))
+        raw[idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
+    buffer.data[:] = fx.to_float(raw, fmt)
+    return codes, clips
+
+
+class TestPrunedRefreshFixed:
+    """The bound-pruned fixed loop against the full recompute, bit for bit."""
+
+    def assert_parity(self, bank, samples, config, segment_index=0):
+        pruned = SegmentBuffer.from_samples(samples, segment_index)
+        full = SegmentBuffer.from_samples(samples, segment_index)
+        codes = fx.encode_segment_fixed(pruned, bank, config)
+        want, clips = full_recompute_fixed(full, bank, config)
+        assert codes == want
+        np.testing.assert_array_equal(pruned.data, full.data)
+        return codes, clips
+
+    def test_white_noise_sps_256(self, bank):
+        rng = np.random.default_rng(60)
+        for index in range(2):
+            codes, _ = self.assert_parity(bank, rng.uniform(-1, 1, 696),
+                                          EncoderConfig(sps=256, fixed=(5, 28)), index)
+            assert len(codes) == 256
+
+    def test_two_tones_sps_64(self, bank):
+        rng = np.random.default_rng(61)
+        t = np.arange(696) / 16000.0
+        for index in range(4):
+            f1, f2 = rng.uniform(60.0, 7000.0, 2)
+            tones = 0.4 * np.sin(2 * np.pi * f1 * t) + 0.1 * np.cos(2 * np.pi * f2 * t)
+            self.assert_parity(bank, tones, EncoderConfig(sps=64, fixed=(5, 28)), index)
+
+    def test_silence_ties_to_first_row_and_lag(self, bank):
+        codes, _ = self.assert_parity(bank, np.zeros(696),
+                                      EncoderConfig(sps=4, fixed=(5, 28)))
+        assert [(c.m, c.tau, c.s) for c in codes] == [(0, 0, 0.0)] * 4
+
+    def test_zero_budget(self, bank):
+        samples = np.random.default_rng(62).uniform(-1, 1, 696)
+        codes, _ = self.assert_parity(bank, samples, EncoderConfig(sps=0, fixed=(5, 28)))
+        assert codes == []
+
+    def test_feedback_stop(self, bank):
+        samples = 0.05 * np.random.default_rng(63).uniform(-1, 1, 696)
+        codes, _ = self.assert_parity(
+            bank, samples, EncoderConfig(sps=64, threshold=0.07, fixed=(5, 28)))
+        assert 0 < len(codes) < 64
+
+    def test_full_scale_reaches_the_clip_fallback(self, bank):
+        # full-scale noise, and full-scale square waves whose codes the loop
+        # gets wrong if a clipped subtraction only raises the bounds as usual
+        rng = np.random.default_rng(64)
+        t = np.arange(696) / 16000.0
+        inputs = [rng.uniform(-31.9, 31.9, 696) for _ in range(2)]
+        inputs += [31.9 * np.sign(np.sin(2 * np.pi * f * t + phase))
+                   for f, phase in ((2806.1, 1.98), (2918.2, 0.11), (3682.4, 0.45))]
+        for index, samples in enumerate(inputs):
+            _, clips = self.assert_parity(bank, samples,
+                                          EncoderConfig(sps=16, fixed=(5, 28)), index)
+            assert clips > 0
+
+    def test_quantized_peak_bound_is_sound(self, bank):
+        tables = fx._tables_for(bank, fx.Q5_28)
+        spectra = np.fft.rfft(tables.kernel_raw / fx.Q5_28.scale, n=FFT_SIZE, axis=1)
+        for m in range(bank.kernel_count):
+            cross = np.fft.irfft(spectra[m] * np.conj(spectra), n=FFT_SIZE, axis=1)
+            assert np.all(tables.peak_bound[m] >= np.max(np.abs(cross), axis=1))
+
+    def test_step_bounds_the_change_of_every_row(self, bank):
+        # Over all 1600 kernel pairs (m, n): subtracting a product within half
+        # a unit of s times kernel m moves row n by at most the step, both for
+        # q_mul's own rounding and for the worst rounding of exact ties.
+        fmt = fx.Q5_28
+        tables = fx._tables_for(bank, fmt)
+        rng = np.random.default_rng(65)
+        raw = fx.to_fixed(np.pad(0.5 * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)))
+        before = fx._correlate_raw_fft(raw, tables, fmt)
+        offsets = np.arange(tables.kernel_length)
+        # s = 0.5: s_raw times an odd tap lies exactly between two integers,
+        # so either neighbour is a valid product there
+        tie_s_raw = 1 << (fmt.frac_bits - 1)
+        for m in range(bank.kernel_count):
+            idx = (int(rng.integers(FFT_SIZE)) + offsets) % FFT_SIZE
+            s_raw = int(rng.integers(-8 * fmt.scale, 8 * fmt.scale))
+            after_raw = raw.copy()
+            after_raw[idx] -= fx.q_mul(s_raw, tables.kernel_raw[m], fmt)
+            change = np.abs(fx._correlate_raw_fft(after_raw, tables, fmt) - before)
+            assert np.all(change.max(axis=1) <= fx._peak_step(tables, m, s_raw)), m
+
+            exact = tie_s_raw * tables.kernel_raw[m]
+            low = exact >> fmt.frac_bits
+            tie = (exact & (fmt.scale - 1)) != 0
+            step = fx._peak_step(tables, m, tie_s_raw)
+            for n in range(bank.kernel_count):
+                # round every tie so that it adds to row n's change at the shared lag
+                kernel_n = tables.kernel_raw[n]
+                direction = np.sign(int(tables.kernel_raw[m] @ kernel_n)) or 1
+                after_raw = raw.copy()
+                after_raw[idx] -= low + (tie & (direction * kernel_n > 0))
+                row = fx._correlate_raw_fft(after_raw, tables, fmt, slice(n, n + 1))
+                assert np.max(np.abs(row[0] - before[n])) <= step[n], (m, n)
+
+    def test_refreshes_fewer_than_half_the_rows(self, bank, monkeypatch):
+        rows = []
+        original = fx._correlate_raw_fft
+
+        def counting(raw_data, tables, fmt, band=slice(None), *args):
+            rows.append(len(range(bank.kernel_count)[band]))
+            return original(raw_data, tables, fmt, band, *args)
+
+        monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
+        samples = np.random.default_rng(66).uniform(-1, 1, 696)
+        fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
+                                EncoderConfig(sps=64, fixed=(5, 28)))
+        assert sum(rows) < 0.5 * 64 * bank.kernel_count
 
 
 class TestParityHarness:
