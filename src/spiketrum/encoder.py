@@ -13,17 +13,18 @@ an exact orthogonal projection: the residual energy drops by s**2 per
 iteration. The transform path and the sliding-dot-product path compute the
 same quantity and stay interchangeable.
 
-The transform path refreshes only the kernel rows that can still win. Each
-row m carries an upper bound on its peak |r[m, :]|: its peak when last
-transformed plus |s| * bank.peak_bound[m, n] for every code (n, tau, s)
-subtracted since, because removing s times kernel n moves row m by at most
-that much at any lag. Each iteration takes one rfft of the residual, then
-inverse-transforms contiguous bands of rows until every row left stale has
-a bound (plus a rounding margin) below the best refreshed peak. The winner
-is the smallest kernel index holding that peak, then its first lag: the
-same code, bit for bit, that recomputing all rows would pick, since each
-row is transformed on its own. The direct path recomputes every row every
-iteration and never uses the bound; it is the oracle.
+The float and the fixed-point loop refresh only the kernel rows that can
+still win, through one piece of bookkeeping (_RowBounds). Each row
+carries an upper bound on its peak |r[m, :]|: its peak when last
+transformed, raised after every code by a step bounding how far that
+subtraction moves the row at any lag (here |s| * bank.peak_bound[n, m]
+for a code (n, tau, s); +inf forces a full refresh). Each iteration takes
+one rfft of the residual, then inverse-transforms contiguous bands of
+rows until every stale row's bound plus the datapath's cut is below the
+best refreshed peak. Here the winner is the smallest kernel index at
+that peak, then its first lag: bit for bit the code a full recompute
+picks, since each row is transformed on its own. The direct path
+recomputes every row every iteration and is the oracle.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class EncoderConfig:
     sps caps codes per segment; threshold below which a response stops the
     segment (0 disables feedback); path picks the correlation engine; fixed
     switches to the integer datapath emulation, given as (int_bits,
-    frac_bits) of the 34-bit format.
+    frac_bits) of the 34-bit format, and the threshold must then lie in
+    that format's range.
     """
 
     sps: int = 16
@@ -96,6 +98,13 @@ class EncoderConfig:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.path not in ("direct", "fft"):
             raise ValueError(f"unknown correlation path {self.path!r}")
+        if self.fixed is not None:
+            from .fixed_point import QFormat  # deferred: fixed_point imports this module
+
+            fmt = QFormat(*self.fixed)
+            if self.threshold > fmt.raw_max / fmt.scale:
+                raise ValueError(f"threshold {self.threshold} outside the {fmt} range "
+                                 f"[{fmt.raw_min / fmt.scale}, {fmt.raw_max / fmt.scale}]")
 
 
 def segment_stream(samples, segment_len, buffer_len=FFT_SIZE):
@@ -115,10 +124,11 @@ def segment_stream(samples, segment_len, buffer_len=FFT_SIZE):
     return buffers
 
 
-def _circular_windows(data, length):
-    """Contiguous (N, length) matrix whose row u is data circularly shifted by u."""
+def _circular_windows(data, length, lags=slice(None)):
+    """Contiguous matrix whose rows are data circularly shifted by each of lags."""
     ext = np.concatenate([data, data[: length - 1]])
-    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(ext, length))
+    return np.ascontiguousarray(
+        np.lib.stride_tricks.sliding_window_view(ext, length)[lags])
 
 
 def correlate_all_direct(buffer, bank):
@@ -199,54 +209,71 @@ def encode_segment(buffer, bank, config):
     """
     if config.path == "direct":
         return _encode_segment_direct(buffer, bank, config)
-    count = bank.kernel_count
-    r = np.empty((count, FFT_SIZE))
-    prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
-    peak = np.empty(count)               # max |r[m, :]| of rows refreshed this iteration, else -1
-    bound = np.full(count, np.inf)       # >= the peak row m would have if refreshed now
-    floor = np.zeros(count)              # <= that peak, up to rounding; only picks the first band
-    stale = np.empty(count)              # bound + slack of rows not refreshed yet, else -inf
+    rows = _RowBounds(bank.kernel_count)
     energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
     slack = _ROUNDING_SLACK * np.sqrt(buffer.data @ buffer.data * energy) * (1.0 + energy)
-    lo, hi = 0, count
     codes = []
     for iteration in range(config.sps):
         spectrum = np.fft.rfft(buffer.data)
-        peak.fill(-1.0)
-        np.add(bound, slack, out=stale)
-        best = 0.0
-        while True:
-            correlate_all_fft(buffer, bank, slice(lo, hi), spectrum, prod, r)
-            band = r[lo:hi]
-            top = np.maximum(band.max(axis=1), -band.min(axis=1), out=peak[lo:hi])
-            bound[lo:hi] = floor[lo:hi] = top
-            stale[lo:hi] = -np.inf
-            best = max(best, top.max())
-            reach = stale >= best
-            if not reach.any():
-                break
-            lo, hi = _run_around(reach.tolist(), int(np.argmax(stale)))
-        m = int(np.argmax(peak))
-        code = find_best_code(r, buffer.segment_index, iteration, m)
+        rows.refresh(lambda band: correlate_all_fft(buffer, bank, band, spectrum,
+                                                    rows.prod, rows.r), slack)
+        m = int(np.argmax(rows.peak))
+        code = find_best_code(rows.r, buffer.segment_index, iteration, m)
         if feedback_should_stop(code, config.threshold):
             break
         subtract_component(buffer, bank.kernels[m], code.tau, code.s)
         codes.append(code)
-        step = abs(code.s) * bank.peak_bound[m]
-        bound += step
-        floor -= step
-        lo, hi = _run_around((bound >= floor.max()).tolist(), int(np.argmax(floor)))
+        rows.raise_bounds(abs(code.s) * bank.peak_bound[m])
     return codes
 
 
+class _RowBounds:
+    """Correlation rows and their peak bounds over one segment's pursuit."""
+
+    def __init__(self, count):
+        self.r = np.empty((count, FFT_SIZE))  # correlation (or screen) rows
+        self.prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
+        self.peak = np.empty(count)           # max |r[m, :]| of rows refreshed this iteration, else -1
+        self.bound = np.full(count, np.inf)   # >= the peak row m would have if refreshed now
+        self.floor = np.zeros(count)          # <= that peak, up to the cut; only picks the first band
+        self.stale = np.empty(count)          # bound + cut of rows not refreshed yet, else -inf
+        self.band = slice(0, count)
+
+    def refresh(self, correlate, cut):
+        """Refresh bands of rows, written into r by correlate(band), until
+        no stale row's bound plus cut reaches the best peak; returns it."""
+        r, peak, bound, floor, stale = self.r, self.peak, self.bound, self.floor, self.stale
+        peak.fill(-1.0)
+        np.add(bound, cut, out=stale)
+        band = self.band
+        best = 0.0
+        while True:
+            correlate(band)
+            top = np.maximum(r[band].max(axis=1), -r[band].min(axis=1), out=peak[band])
+            bound[band] = floor[band] = top
+            stale[band] = -np.inf
+            best = max(best, top.max())
+            reach = stale >= best
+            if not reach.any():
+                return best
+            band = _run_around(reach.tolist(), int(np.argmax(stale)))
+
+    def raise_bounds(self, step):
+        """Raise every bound by step after a subtraction; +inf refreshes all rows next."""
+        self.bound += step
+        self.floor -= step
+        self.band = _run_around((self.bound >= self.floor.max()).tolist(),
+                                int(np.argmax(self.floor)))
+
+
 def _run_around(mask, row):
-    """(lo, hi) of the run of true entries in mask that contains row."""
+    """Slice of the run of true entries in mask that contains row."""
     lo = hi = row
     while lo > 0 and mask[lo - 1]:
         lo -= 1
     while hi + 1 < len(mask) and mask[hi + 1]:
         hi += 1
-    return lo, hi + 1
+    return slice(lo, hi + 1)
 
 
 def _encode_segment_direct(buffer, bank, config):
@@ -283,11 +310,11 @@ def encode_stream(samples, bank, config, flag=None):
     Segments are independent, so with SPIKETRUM_THREADS > 1 they encode on
     a thread pool; results are concatenated in segment order either way and
     the output is identical for any worker count. Non-finite samples are
-    rejected, naming the first one's index; so are samples, and a
-    threshold, outside the fixed-point format's range, which would
-    otherwise saturate silently. On the fixed datapath, flag (a
-    fixed_point.SaturationFlag) is set when the arithmetic saturates
-    during the pursuit; passing one without config.fixed is an error.
+    rejected, naming the first one's index; so are samples outside the
+    fixed-point format's range, which would otherwise saturate silently.
+    On the fixed datapath, flag (a fixed_point.SaturationFlag) is set when
+    the arithmetic saturates during the pursuit; passing one without
+    config.fixed is an error.
     """
     samples = np.asarray(samples, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(samples))
@@ -299,9 +326,6 @@ def encode_stream(samples, bank, config, flag=None):
 
         fmt = fixed_point.QFormat(*config.fixed)
         lo, hi = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
-        if config.threshold > hi:
-            raise ValueError(f"threshold {config.threshold} outside the {fmt} "
-                             f"range [{lo}, {hi}]")
         bad = np.flatnonzero((samples < lo) | (samples > hi))
         if bad.size:
             raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "

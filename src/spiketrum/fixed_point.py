@@ -7,36 +7,40 @@ precision (round to nearest, ties to even), and saturate at the format
 bounds. The fixed encoding loop mirrors the float loop with every
 correlation lag accumulated exactly in a wide accumulator and rounded
 once, the subtraction products rounded elementwise, and all comparisons
-done on raw integers.
+done on raw integers. Splitting 34-bit operands at bit 17 keeps partial
+products below 2**50 and 1353-tap correlation partials below 2**46, exact
+in int64 and in float64 matrix products.
 
-Exactness under int64 is kept by splitting 34-bit operands at bit 17:
-with a = ah * 2**17 + al, partial products stay below 2**50 and the
-1353-tap correlation partials below 2**46, so every intermediate fits
-comfortably in int64 (and, where routed through float64 matrix products
-or FFTs, below the 2**53 integer-exact ceiling).
+The loop screens each row with one float64 correlation in raw units,
+S = irfft(rfft(raw) * conj(rfft(kernel_raw / 2**frac_bits))), clipped to
+the format, within delta = _SCREEN_ERROR * ||raw||_2 * max ||k_q||_2 of
+the exact value before rounding (k_q: the quantized kernels). Higham,
+Accuracy and Stability of Numerical Algorithms (2nd ed., SIAM 2002), ch.
+24, bounds a length-2048 FFT's relative error by about 11 * (1 + 4 *
+sqrt(2)) * 2**-53 = 8e-15; through three transforms, a product and the
+norm inequalities that gives a worst case just under 1e-12, the value
+_SCREEN_ERROR takes (measured: at most 6e-17, amplitudes 1e-4 to 31.9).
+For unit-norm kernels delta_max, the delta of 2048 samples at the
+format's limit, is below 0.4.
 
-Like the float loop, the fixed loop refreshes only the kernel rows that
-can still win. Each row n carries an upper bound on its peak |r[n, :]| in
-raw units: its peak when last computed, raised after every code (m, tau,
-s_raw) by
+Rounding moves a value by at most half a unit and clipping never widens a
+difference, so every exact integer lies within 0.5 + delta of its screen
+and only (row, lag) pairs whose |screen| is within 1 + 2 * delta of the
+best can hold the exact peak. Such a candidate's screen rounds to its
+exact integer unless it lies within delta of a half-integer; then the
+row's candidates are computed exactly (_correlate_raw_gemm, also the
+tests' oracle). The winner is the smallest row at the largest exact
+|value|, then its first lag.
 
-    |s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 2,
-
-where k_q,n = kernel_raw[n] / 2**frac_bits is the quantized kernel and
-B_q the spectral peak bound of their cross-correlations. The first term
-bounds s_raw times the quantized kernels' cross-correlation; the second
-covers the elementwise rounding of the q_mul product (each tap off by at
-most half a unit, weighted by kernel n's taps); the +2 covers the rounding
-of the correlation to raw units before and after, with margin. Clipping
-the correlation to the format only shrinks differences, so the bound
-holds for saturated rows too. A subtraction whose product or residual
-clips is no longer s times a kernel, so it sets every bound to +inf and
-the next iteration refreshes all rows. Each iteration takes the two
-split-half rffts once, then transforms contiguous bands of rows until
-every row left stale has a bound below the best exact peak. Correlations
-are exact integers, so the winner (the smallest kernel index at the best
-peak, then its first lag) and the residual are bit-identical to
-recomputing every row.
+Rows are refreshed as in the float loop (encoder._RowBounds), with cut
+1 + 2 * delta. After a code (m, tau, s_raw) row n's bound rises by
+|s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1 + 2 * delta_max: B_q bounds
+the quantized kernels' cross-correlation peaks, the L1 term the q_mul
+product's rounding, the rest the screen's error before and after and the
+exact values' rounding. Clipping only shrinks differences; a subtraction
+whose product or residual clips is no longer s times a kernel, so its
+step is +inf. Codes and residual are bit-identical to an exact full
+recompute.
 """
 
 from __future__ import annotations
@@ -47,19 +51,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import Code, MAX_SHIFT, _circular_windows, _run_around
+from .encoder import Code, MAX_SHIFT, _RowBounds, _circular_windows
 from .kernel_bank import FFT_SIZE, cross_peak_bound
 
 _WIDTH = 34
 _SPLIT = 17  # low-half width for the bit-17 operand split
 _SPLIT_MASK = (1 << _SPLIT) - 1
 
-# Largest absolute deviation from an integer tolerated on the transform
-# route before falling back to the exact matrix route. The true partial
-# sums are integers below 2**46 whose float64 transform error stays under
-# about 2e-3 in practice (worst-case bound about 0.2), so 0.25 separates
-# the rounding decision with a wide margin.
-_FFT_GUARD = 0.25
+# Screen error bound relative to ||raw||_2 * max ||k_q||_2 (module docstring)
+_SCREEN_ERROR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -204,14 +204,19 @@ class _FixedTables:
     kernel_raw: np.ndarray          # (kernels, L) int64
     gemm_hi: np.ndarray             # (L, kernels) float64, high halves
     gemm_lo: np.ndarray             # (L, kernels) float64, low halves
-    spec_hi: np.ndarray             # (kernels, bins) conjugate spectra
-    spec_lo: np.ndarray
+    conj_spectra: np.ndarray        # (kernels, bins) conjugate spectra of the quantized kernels
     peak_bound: np.ndarray          # (kernels, kernels) B_q of the quantized kernels
     kernel_l1: np.ndarray           # (kernels,) L1 norms of the quantized kernels
     kernel_length: int = field(init=False)
+    kernel_norm: float = field(init=False)      # largest L2 norm of the quantized kernels
+    step_floor: np.ndarray = field(init=False)  # (kernels,) _peak_step at s_raw = 0
 
     def __post_init__(self):
         self.kernel_length = self.kernel_raw.shape[1]
+        self.kernel_norm = float(np.sqrt(np.max(np.diag(self.peak_bound))))
+        largest = 2.0 ** (_WIDTH - 1) * np.sqrt(FFT_SIZE)  # ||raw||_2 at the format's limit
+        delta_max = _SCREEN_ERROR * largest * self.kernel_norm
+        self.step_floor = 0.5 * self.kernel_l1 + (1.0 + 2.0 * delta_max)
 
 
 _tables_lock = threading.Lock()
@@ -227,76 +232,66 @@ def _tables_for(bank, fmt):
             quantized = kernel_raw / fmt.scale  # exact: |kernel_raw| < 2**53
             hi = (kernel_raw >> _SPLIT).astype(np.float64)
             lo = (kernel_raw & _SPLIT_MASK).astype(np.float64)
+            conj_spectra = np.conj(np.fft.rfft(quantized, n=FFT_SIZE, axis=1))
             tables = _FixedTables(
                 kernel_raw=kernel_raw,
                 gemm_hi=np.ascontiguousarray(hi.T),
                 gemm_lo=np.ascontiguousarray(lo.T),
-                spec_hi=np.conj(np.fft.rfft(hi, n=FFT_SIZE, axis=1)),
-                spec_lo=np.conj(np.fft.rfft(lo, n=FFT_SIZE, axis=1)),
-                peak_bound=cross_peak_bound(np.fft.rfft(quantized, n=FFT_SIZE, axis=1)),
+                conj_spectra=conj_spectra,
+                peak_bound=cross_peak_bound(conj_spectra),
                 kernel_l1=np.abs(quantized).sum(axis=1),
             )
             per_bank[fmt] = tables
         return tables
 
 
-def _combine_parts(p_hh, p_x, p_ll, fmt):
-    """Assemble split correlation partials and round once per lag.
+def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None)):
+    """Exact integer correlation of the selected rows at the selected lags.
 
-    The exact accumulator is p_hh * 2**34 + p_x * 2**17 + p_ll; regrouped
-    as m * 2**17 + r0 every term stays below 2**60 in int64.
-    """
-    m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
-    r0 = p_ll & _SPLIT_MASK
-    return _rne_combine(m, r0, fmt, None)
-
-
-def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None)):
-    """Exact integer correlation through float64 matrix products.
-
-    Returns the kernel rows selected by rows, one row per kernel. Windowed
-    split halves are at most 2**17, so each 1353-tap partial sum is below
-    2**46 and float64 dot products are integer-exact.
+    Float64 products of split halves are integer-exact (module docstring);
+    the accumulator p_hh * 2**34 + p_x * 2**17 + p_ll, regrouped as
+    m * 2**17 + r0 with every term below 2**60 in int64, is rounded once.
     """
     length = tables.kernel_length
     gemm_hi, gemm_lo = tables.gemm_hi[:, rows], tables.gemm_lo[:, rows]
-    w_hi = _circular_windows((raw_data >> _SPLIT).astype(np.float64), length)
-    w_lo = _circular_windows((raw_data & _SPLIT_MASK).astype(np.float64), length)
+    w_hi = _circular_windows((raw_data >> _SPLIT).astype(np.float64), length, lags)
+    w_lo = _circular_windows((raw_data & _SPLIT_MASK).astype(np.float64), length, lags)
     p_hh = (w_hi @ gemm_hi).astype(np.int64).T
     p_x = ((w_hi @ gemm_lo) + (w_lo @ gemm_hi)).astype(np.int64).T
     p_ll = (w_lo @ gemm_lo).astype(np.int64).T
-    return _combine_parts(p_hh, p_x, p_ll, fmt)
+    m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
+    return _rne_combine(m, p_ll & _SPLIT_MASK, fmt, None)
 
 
-def _split_spectra(raw_data):
-    """rffts of the high and low 17-bit halves of raw data."""
-    return (np.fft.rfft((raw_data >> _SPLIT).astype(np.float64)),
-            np.fft.rfft((raw_data & _SPLIT_MASK).astype(np.float64)))
+def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
+    """Screen rows of the integer correlation into out (module docstring).
 
-
-def _correlate_raw_fft(raw_data, tables, fmt, rows=slice(None), spectra=None):
-    """Same integers through the frequency domain.
-
-    The float64 transforms of the split halves land within _FFT_GUARD of
-    the exact integer partials, so rounding recovers them; if a partial
-    ever drifts past the guard the call reruns the same rows on the exact
-    matrix route. spectra, when given, is _split_spectra(raw_data), so a
-    caller refreshing several bands of rows transforms the data once.
+    spectrum is rfft(raw); prod and out are preallocated as for
+    encoder.correlate_all_fft.
     """
-    b_hi, b_lo = _split_spectra(raw_data) if spectra is None else spectra
-    spec_hi, spec_lo = tables.spec_hi[rows], tables.spec_lo[rows]
-    parts = (
-        np.fft.irfft(b_hi * spec_hi, n=FFT_SIZE, axis=1),
-        np.fft.irfft(b_hi * spec_lo + b_lo * spec_hi, n=FFT_SIZE, axis=1),
-        np.fft.irfft(b_lo * spec_lo, n=FFT_SIZE, axis=1),
-    )
-    rounded = []
-    for part in parts:
-        snapped = np.rint(part)
-        if np.max(np.abs(part - snapped)) >= _FFT_GUARD:
-            return _correlate_raw_gemm(raw_data, tables, fmt, rows)
-        rounded.append(snapped.astype(np.int64))
-    return _combine_parts(*rounded, fmt)
+    screen = np.fft.irfft(np.multiply(spectrum, tables.conj_spectra[rows], out=prod[rows]),
+                          n=FFT_SIZE, axis=1, out=out[rows])
+    np.clip(screen, fmt.raw_min, fmt.raw_max, out=screen)
+
+
+def _exact_peak(screen, peak, window, delta, exact_row):
+    """(m, u, s_raw) of the largest exact |value|: smallest row, then first lag.
+
+    Candidates are the refreshed rows' lags whose |screen| reaches window.
+    Their screens round to the exact integers, unless one lies within delta
+    of a half-integer: then its row takes exact_row(n, lags).
+    """
+    top = -1
+    for n in np.flatnonzero(peak >= max(window, 0.0)):
+        lags = np.flatnonzero(np.abs(screen[n]) >= window)
+        values = screen[n, lags]
+        exact = np.rint(values)
+        if np.any(np.abs(values - exact) >= 0.5 - delta):
+            exact = exact_row(n, lags)
+        k = int(np.argmax(np.abs(exact)))
+        if abs(exact[k]) > top:
+            top, m, u, s_raw = abs(exact[k]), int(n), int(lags[k]), int(exact[k])
+    return m, u, s_raw
 
 
 def _peak_step(tables, m, s_raw):
@@ -304,61 +299,45 @@ def _peak_step(tables, m, s_raw):
 
     The terms are those of the module docstring: the scaled cross-
     correlation bound, half a unit of product rounding per kernel tap, and
-    the correlation's own rounding before and after, with margin.
+    the screen's error and the exact values' rounding.
     """
-    return abs(s_raw) * tables.peak_bound[m] + (0.5 * tables.kernel_l1 + 2.0)
+    return abs(s_raw) * tables.peak_bound[m] + tables.step_floor
 
 
 def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
     """Matching pursuit on the integer datapath; mutates buffer to the residual.
 
-    Mirrors the float loop: exact wide-accumulator correlation rounded once
-    per lag, integer argmax with the same tie order, raw-integer feedback
-    comparison against the quantized threshold, and a rounded, saturating
-    subtraction. Only rows whose peak bound can still win are recomputed
-    (see the module docstring); the codes and residual are those of a full
-    recompute. The buffer ends up holding the dequantized residual.
-    When given, energy_trace collects the residual energy before the loop
-    and after every subtraction so callers can watch for quantization
-    pushing energy up instead of down, and flag (a SaturationFlag) is set
-    if the buffer saturates on quantization, a code's correlation sits at
-    the format's limit, or a subtraction clips.
+    Mirrors the float loop on raw integers: exact correlations rounded once
+    per lag (screened, and refreshed or taken exactly only where they can
+    win: see the module docstring), the same tie order, the quantized
+    feedback threshold, and a rounded, saturating subtraction. The buffer
+    ends up holding the dequantized residual. When given, energy_trace
+    collects the residual energy before the loop and after every
+    subtraction, so callers can watch for quantization pushing energy up,
+    and flag (a SaturationFlag) is set if the buffer saturates on
+    quantization, a code's correlation sits at the format's limit, or a
+    subtraction clips.
     """
     fmt = QFormat(*config.fixed) if config.fixed is not None else Q5_28
     tables = _tables_for(bank, fmt)
     raw = to_fixed(buffer.data, fmt, flag)
     threshold_raw = to_fixed(config.threshold, fmt)
     offsets = np.arange(tables.kernel_length)
-    count = bank.kernel_count
-    r = np.empty((count, FFT_SIZE), dtype=np.int64)
-    peak = np.empty(count)               # max |r[n, :]| of rows refreshed this iteration, else -1
-    bound = np.full(count, np.inf)       # >= the peak row n would have if refreshed now
-    floor = np.zeros(count)              # lower bound on that peak; only picks the first band
-    stale = np.empty(count)              # bound of rows not refreshed yet, else -inf
-    lo, hi = 0, count
+    rows = _RowBounds(bank.kernel_count)
     if energy_trace is not None:
         residual = to_float(raw, fmt)
         energy_trace.append(float(residual @ residual))
     codes = []
     for iteration in range(config.sps):
-        spectra = _split_spectra(raw)
-        peak.fill(-1.0)
-        stale[:] = bound
-        best = 0
-        while True:
-            r[lo:hi] = _correlate_raw_fft(raw, tables, fmt, slice(lo, hi), spectra)
-            band = r[lo:hi]
-            top = np.maximum(band.max(axis=1), -band.min(axis=1))
-            peak[lo:hi] = bound[lo:hi] = floor[lo:hi] = top
-            stale[lo:hi] = -np.inf
-            best = max(best, int(top.max()))
-            reach = stale >= best
-            if not reach.any():
-                break
-            lo, hi = _run_around(reach.tolist(), int(np.argmax(stale)))
-        m = int(np.argmax(peak))
-        u = int(np.argmax(np.abs(r[m])))
-        s_raw = int(r[m, u])
+        data = raw.astype(np.float64)
+        spectrum = np.fft.rfft(data)
+        delta = _SCREEN_ERROR * np.sqrt(data @ data) * tables.kernel_norm
+        cut = 1.0 + 2.0 * delta
+        best = rows.refresh(lambda band: _correlate_raw_fft(spectrum, tables, fmt, band,
+                                                            rows.prod, rows.r), cut)
+        m, u, s_raw = _exact_peak(
+            rows.r, rows.peak, best - cut, delta,
+            lambda n, lags: _correlate_raw_gemm(raw, tables, fmt, slice(n, n + 1), lags)[0])
         if abs(s_raw) < threshold_raw:
             break
         if flag is not None and s_raw in (fmt.raw_min, fmt.raw_max):
@@ -370,16 +349,10 @@ def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
         clipped = SaturationFlag()
         product = q_mul(s_raw, tables.kernel_raw[m], fmt, clipped)
         raw[idx] = _saturate_int(raw[idx] - product, fmt, clipped)
-        if clipped:
-            # a clipped update is no longer s times a kernel: recompute all rows
-            bound.fill(np.inf)
-            if flag is not None:
-                flag.seen = True
-        else:
-            step = _peak_step(tables, m, s_raw)
-            bound += step
-            floor -= step
-        lo, hi = _run_around((bound >= floor.max()).tolist(), int(np.argmax(floor)))
+        if clipped and flag is not None:
+            flag.seen = True
+        # a clipped update is no longer s times a kernel: refresh every row
+        rows.raise_bounds(np.inf if clipped else _peak_step(tables, m, s_raw))
         if energy_trace is not None:
             residual = to_float(raw, fmt)
             energy_trace.append(float(residual @ residual))

@@ -5,6 +5,9 @@ plain Python integers, unbounded width, floor divmod and an explicit
 ties-to-even rule. Every primitive is checked against it.
 """
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -183,41 +186,97 @@ class TestCorrelateFixed:
         assert np.all(r == 0)
 
 
-class TestDualRoute:
-    def test_fft_route_equals_gemm_route(self, bank):
+def screen_of(raw, tables, rows=slice(None)):
+    """The float64 screen of raw in the given rows, zeros elsewhere."""
+    count = tables.kernel_raw.shape[0]
+    out = np.zeros((count, FFT_SIZE))
+    prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
+    fx._correlate_raw_fft(np.fft.rfft(raw.astype(np.float64)), tables, fx.Q5_28, rows,
+                          prod, out)
+    return out
+
+
+def screen_delta(raw, tables):
+    """The screen's error bound for a buffer of raw values."""
+    data = raw.astype(np.float64)
+    return fx._SCREEN_ERROR * np.sqrt(data @ data) * tables.kernel_norm
+
+
+def exact_rows(exact):
+    """An exact_row callback of _exact_peak that reads a table of exact values."""
+    return lambda n, lags: exact[n, lags]
+
+
+class TestScreen:
+    """The float64 screen and the exact values taken from it."""
+
+    def test_within_half_a_unit_of_the_exact_values(self, bank):
         rng = np.random.default_rng(54)
         tables = fx._tables_for(bank, fx.Q5_28)
-        for amplitude in (1.0, 8.0, 30.0):
-            raw = fx.to_fixed(
-                np.pad(amplitude * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
-            got = fx._correlate_raw_fft(raw, tables, fx.Q5_28)
-            want = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
-            np.testing.assert_array_equal(got, want)
+        inputs = [fx.to_fixed(np.pad(amplitude * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
+                  for amplitude in (1.0, 8.0, 30.0)]
+        # raw values pinned at the format limits stress the largest products
+        saturated = np.zeros(2048, dtype=np.int64)
+        saturated[:696:2] = fx.Q5_28.raw_max
+        saturated[1:696:2] = fx.Q5_28.raw_min
+        for raw in inputs + [saturated]:
+            screen = screen_of(raw, tables)
+            exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
+            delta = screen_delta(raw, tables)
+            assert 0.0 < delta < 0.4
+            assert np.max(np.abs(screen - exact)) <= 0.5 + delta
 
-    def test_band_and_guard_fallback_give_the_same_rows(self, bank, monkeypatch):
+    def test_a_band_matches_the_full_screen(self, bank):
         rng = np.random.default_rng(67)
         tables = fx._tables_for(bank, fx.Q5_28)
         raw = fx.to_fixed(np.pad(rng.uniform(-1, 1, 696), (0, 2048 - 696)))
-        full = fx._correlate_raw_fft(raw, tables, fx.Q5_28)
+        full = screen_of(raw, tables)
         band = slice(11, 17)
-        got = fx._correlate_raw_fft(raw, tables, fx.Q5_28, band, fx._split_spectra(raw))
-        np.testing.assert_array_equal(got, full[band])
-        monkeypatch.setattr(fx, "_FFT_GUARD", 0.0)  # every band falls back
-        got = fx._correlate_raw_fft(raw, tables, fx.Q5_28, band, fx._split_spectra(raw))
-        np.testing.assert_array_equal(got, full[band])
+        out = screen_of(raw, tables, band)
+        np.testing.assert_array_equal(out[band], full[band])
+        assert not out[:11].any() and not out[17:].any()
 
-    def test_saturated_input_still_exact(self, bank):
-        # raw values pinned at the format limits stress the largest products
+    def test_screens_near_a_rounding_boundary_take_the_exact_values(self, bank):
+        # every screen moved to within delta of a half-integer, on the side
+        # that rounds away from the exact value: only the recompute is right
+        rng = np.random.default_rng(68)
         tables = fx._tables_for(bank, fx.Q5_28)
-        raw = np.zeros(2048, dtype=np.int64)
-        raw[:696:2] = fx.Q5_28.raw_max
-        raw[1:696:2] = fx.Q5_28.raw_min
-        got = fx._correlate_raw_fft(raw, tables, fx.Q5_28)
-        want = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
-        np.testing.assert_array_equal(got, want)
+        raw = fx.to_fixed(np.pad(rng.uniform(-1, 1, 696), (0, 2048 - 696)))
+        exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
+        delta = screen_delta(raw, tables)
+        m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
+        for offset in (0.5 + 0.5 * delta, 0.5 - 0.5 * delta):
+            screen = exact + np.where(exact < 0, -offset, offset)
+            peak = np.max(np.abs(screen), axis=1)
+            window = peak.max() - (1.0 + 2.0 * delta)
+            assert fx._exact_peak(screen, peak, window, delta, exact_rows(exact)) == \
+                (m, u, int(exact[m, u]))
+
+    def test_exact_ties_go_to_the_first_row_and_lag(self):
+        # the exact values tie at 1000 over two rows and several lags, and the
+        # screens of the later row and lags lie higher (all within half a unit)
+        exact = np.zeros((4, FFT_SIZE))
+        exact[1, [700, 50, 900]] = [1000, -1000, 999]
+        exact[2, 10] = 1000
+        screen = exact.copy()
+        screen[1, [700, 50, 900]] = [999.8, -999.6, 999.4]
+        screen[2, 10] = 1000.3
+        peak = np.max(np.abs(screen), axis=1)
+        window = peak.max() - 1.0
+        assert fx._exact_peak(screen, peak, window, 0.0, exact_rows(exact)) == (1, 50, -1000)
+        # rows outside the refresh (peak -1) are never candidates
+        peak[1] = -1.0
+        assert fx._exact_peak(screen, peak, window, 0.0, exact_rows(exact)) == (2, 10, 1000)
 
 
 class TestEncodeSegmentFixed:
+    def test_direct_call_checks_the_threshold(self, bank):
+        samples = np.random.default_rng(59).uniform(-31.9, 31.9, 696)
+        message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
+                                    EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
+
     def test_zero_buffer_with_threshold(self, bank):
         buf = SegmentBuffer(np.zeros(2048), 0, 0)
         config = EncoderConfig(sps=16, threshold=0.01, path="direct",
@@ -306,7 +365,7 @@ def full_recompute_fixed(buffer, bank, config):
     codes = []
     clips = 0
     for iteration in range(config.sps):
-        r = fx._correlate_raw_fft(raw, tables, fmt)
+        r = fx._correlate_raw_gemm(raw, tables, fmt)
         m, u = divmod(int(np.argmax(np.abs(r))), FFT_SIZE)
         s_raw = int(r[m, u])
         if abs(s_raw) < threshold_raw:
@@ -323,6 +382,20 @@ def full_recompute_fixed(buffer, bank, config):
         raw[idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
     buffer.data[:] = fx.to_float(raw, fmt)
     return codes, clips
+
+
+def record_candidates(monkeypatch):
+    """Record how many (row, lag) candidates each pursuit iteration takes."""
+    sizes = []
+    original = fx._exact_peak
+
+    def recording(screen, peak, window, *args):
+        rows = peak >= max(window, 0.0)
+        sizes.append(int(np.count_nonzero(np.abs(screen[rows]) >= window)))
+        return original(screen, peak, window, *args)
+
+    monkeypatch.setattr(fx, "_exact_peak", recording)
+    return sizes
 
 
 class TestPrunedRefreshFixed:
@@ -352,10 +425,29 @@ class TestPrunedRefreshFixed:
             tones = 0.4 * np.sin(2 * np.pi * f1 * t) + 0.1 * np.cos(2 * np.pi * f2 * t)
             self.assert_parity(bank, tones, EncoderConfig(sps=64, fixed=(5, 28)), index)
 
-    def test_silence_ties_to_first_row_and_lag(self, bank):
+    def test_silence_ties_to_first_row_and_lag(self, bank, monkeypatch):
+        sizes = record_candidates(monkeypatch)
         codes, _ = self.assert_parity(bank, np.zeros(696),
                                       EncoderConfig(sps=4, fixed=(5, 28)))
         assert [(c.m, c.tau, c.s) for c in codes] == [(0, 0, 0.0)] * 4
+        assert sizes == [bank.kernel_count * FFT_SIZE] * 4
+
+    def test_exact_ties_over_several_lags(self, bank, monkeypatch):
+        # A buffer repeating with period 341 correlates to the same integer at
+        # six lags of its best row, and for these seeds a later one of those
+        # lags has the largest screen, so only a candidate window finds the
+        # first. At full scale the ties sit at the format's limits.
+        sizes = record_candidates(monkeypatch)
+        inputs = [0.5 * np.random.default_rng(seed).uniform(-1, 1, 341) for seed in (0, 1)]
+        inputs.append(31.9 * np.sign(inputs[0]))
+        for index, samples in enumerate(inputs):
+            buffer = SegmentBuffer(np.resize(samples, FFT_SIZE), index, FFT_SIZE)
+            pruned = SegmentBuffer(buffer.data.copy(), index, FFT_SIZE)
+            config = EncoderConfig(sps=4, fixed=(5, 28))
+            want, _ = full_recompute_fixed(buffer, bank, config)
+            assert fx.encode_segment_fixed(pruned, bank, config) == want
+            np.testing.assert_array_equal(pruned.data, buffer.data)
+            assert sizes[-4] >= 6
 
     def test_zero_budget(self, bank):
         samples = np.random.default_rng(62).uniform(-1, 1, 696)
@@ -396,7 +488,7 @@ class TestPrunedRefreshFixed:
         tables = fx._tables_for(bank, fmt)
         rng = np.random.default_rng(65)
         raw = fx.to_fixed(np.pad(0.5 * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)))
-        before = fx._correlate_raw_fft(raw, tables, fmt)
+        before = fx._correlate_raw_gemm(raw, tables, fmt)
         offsets = np.arange(tables.kernel_length)
         # s = 0.5: s_raw times an odd tap lies exactly between two integers,
         # so either neighbour is a valid product there
@@ -406,7 +498,7 @@ class TestPrunedRefreshFixed:
             s_raw = int(rng.integers(-8 * fmt.scale, 8 * fmt.scale))
             after_raw = raw.copy()
             after_raw[idx] -= fx.q_mul(s_raw, tables.kernel_raw[m], fmt)
-            change = np.abs(fx._correlate_raw_fft(after_raw, tables, fmt) - before)
+            change = np.abs(fx._correlate_raw_gemm(after_raw, tables, fmt) - before)
             assert np.all(change.max(axis=1) <= fx._peak_step(tables, m, s_raw)), m
 
             exact = tie_s_raw * tables.kernel_raw[m]
@@ -419,16 +511,16 @@ class TestPrunedRefreshFixed:
                 direction = np.sign(int(tables.kernel_raw[m] @ kernel_n)) or 1
                 after_raw = raw.copy()
                 after_raw[idx] -= low + (tie & (direction * kernel_n > 0))
-                row = fx._correlate_raw_fft(after_raw, tables, fmt, slice(n, n + 1))
+                row = fx._correlate_raw_gemm(after_raw, tables, fmt, slice(n, n + 1))
                 assert np.max(np.abs(row[0] - before[n])) <= step[n], (m, n)
 
     def test_refreshes_fewer_than_half_the_rows(self, bank, monkeypatch):
         rows = []
         original = fx._correlate_raw_fft
 
-        def counting(raw_data, tables, fmt, band=slice(None), *args):
+        def counting(spectrum, tables, fmt, band, prod, out):
             rows.append(len(range(bank.kernel_count)[band]))
-            return original(raw_data, tables, fmt, band, *args)
+            return original(spectrum, tables, fmt, band, prod, out)
 
         monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
         samples = np.random.default_rng(66).uniform(-1, 1, 696)
@@ -443,3 +535,72 @@ class TestParityHarness:
         assert result.total == 5 * 16
         assert result.match_rate >= 0.95
         assert result.matched + len(result.mismatches) == result.total
+
+
+def lcg_uniform(seed, count):
+    """count values in [0, 1) from a 64-bit LCG: the same on every platform."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2 ** 64
+        out.append(state >> 11)
+    return np.array(out, dtype=np.float64) / 2.0 ** 53
+
+
+def tones(index):
+    """Eight harmonics of a 110 + 37 * index Hz tone, on a 2**-16 grid."""
+    t = np.arange(696) / 16000.0
+    f0 = 110.0 + 37.0 * index
+    x = sum(0.3 / h * np.sin(2 * np.pi * h * f0 * t + 0.5 * h) for h in range(1, 9))
+    # the coarse grid keeps a last-bit difference in sin from changing the input
+    return np.round(x * 2.0 ** 16) / 2.0 ** 16
+
+
+def square(f, phase):
+    """Full-scale square wave from exactly rounded arithmetic only."""
+    return 31.9 * np.where((np.arange(696) * (f / 8000.0) + phase) % 2.0 < 1.0, 1.0, -1.0)
+
+
+# (inputs, sps, threshold) -> sha256 of the codes (m, tau, s_raw) and of the
+# raw residuals, as little-endian int64
+GOLDEN = {
+    "tones_sps16": (
+        lambda: [tones(i) for i in range(3)], 16, 0.01,
+        "b4f94e2097a5c117ab27f8d70a7b8552004448c5b9ade19d0e7f01e79418c445",
+        "a7582d5b302f8eb46128717daa19ebe86143083d66365c9c0cf08a8440892f7d"),
+    "tones_sps64": (
+        lambda: [tones(i) for i in range(3)], 64, 0.0,
+        "93da5effce6fade35861867b1557819fbc1fcaef343876fa8265df39b910ce0b",
+        "a1ba5e858218031b96ff4dc8760fbadffc5bc564cbb63c7ee82c3291425bcaa4"),
+    "silence": (
+        lambda: [np.zeros(696)], 16, 0.0,
+        "a1a4f5721c1c4610af7f71078f3a68c330536d679803b0e0507ee8dc10c5dfca",
+        "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe"),
+    "noise_full_scale": (
+        lambda: [31.9 * (2.0 * lcg_uniform(seed, 696) - 1.0) for seed in (1, 2)], 16, 0.0,
+        "cffe6de4ce6a786100891ed5770b92a8162984becbcc662e03226f2b0f958130",
+        "1d656f040070308587a6bd9fbced0803675d902a88d19400aeae2353845b8d0d"),
+    "square_full_scale": (
+        lambda: [square(2806.1, 0.63)], 16, 0.0,
+        "6c99445e589de978e389760c6954daa0b0585f042bae4a9b76175657a1c9b590",
+        "6b85be3a40fdcd4b481039455fe0915203a09b5d2a2a6ade1592b65a06ff8172"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digests(bank, name):
+    """The integer datapath is exact, so its outputs are pinned bit for bit.
+
+    They must not depend on the platform or the numpy version (the float
+    datapath is not pinned: its last bits may vary between FFT builds).
+    """
+    make_inputs, sps, threshold, codes_digest, residual_digest = GOLDEN[name]
+    config = EncoderConfig(sps=sps, threshold=threshold, fixed=(5, 28))
+    codes_hash, residual_hash = hashlib.sha256(), hashlib.sha256()
+    for index, samples in enumerate(make_inputs()):
+        buffer = SegmentBuffer.from_samples(samples, index)
+        codes = fx.encode_segment_fixed(buffer, bank, config)
+        table = [(c.m, c.tau, fx.to_fixed(c.s)) for c in codes]
+        codes_hash.update(np.array(table, dtype="<i8").tobytes())
+        residual_hash.update(fx.to_fixed(buffer.data).astype("<i8").tobytes())
+    assert (codes_hash.hexdigest(), residual_hash.hexdigest()) == \
+        (codes_digest, residual_digest)
