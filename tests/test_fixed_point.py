@@ -207,24 +207,43 @@ def exact_rows(exact):
     return lambda n, lags: exact[n, lags]
 
 
-class TestScreen:
-    """The float64 screen and the exact values taken from it."""
+def assert_screen_rounds_to_gemm(raw, tables):
+    """The FFT route (screen, rounded or recomputed) gives the GEMM route's values."""
+    screen = screen_of(raw, tables)
+    exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
+    delta = screen_delta(raw, tables)
+    assert 0.0 < delta < 0.4
+    assert np.max(np.abs(screen - exact)) <= 0.5 + delta
+    # away from a rounding boundary the screen rounds to the exact value
+    clear = np.abs(screen - np.rint(screen)) < 0.5 - delta
+    np.testing.assert_array_equal(np.rint(screen)[clear], exact[clear])
+    # and the peak taken from it over every row and lag is the GEMM route's
+    m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
+    peak = np.max(np.abs(screen), axis=1)
+    assert fx._exact_peak(screen, peak, 0.0, delta, exact_rows(exact)) == \
+        (m, u, int(exact[m, u]))
 
-    def test_within_half_a_unit_of_the_exact_values(self, bank):
+
+class TestDualRoute:
+    def test_fft_route_equals_gemm_route(self, bank):
         rng = np.random.default_rng(54)
         tables = fx._tables_for(bank, fx.Q5_28)
-        inputs = [fx.to_fixed(np.pad(amplitude * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
-                  for amplitude in (1.0, 8.0, 30.0)]
+        for amplitude in (1.0, 8.0, 30.0):
+            raw = fx.to_fixed(
+                np.pad(amplitude * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
+            assert_screen_rounds_to_gemm(raw, tables)
+
+    def test_saturated_input_still_exact(self, bank):
         # raw values pinned at the format limits stress the largest products
-        saturated = np.zeros(2048, dtype=np.int64)
-        saturated[:696:2] = fx.Q5_28.raw_max
-        saturated[1:696:2] = fx.Q5_28.raw_min
-        for raw in inputs + [saturated]:
-            screen = screen_of(raw, tables)
-            exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
-            delta = screen_delta(raw, tables)
-            assert 0.0 < delta < 0.4
-            assert np.max(np.abs(screen - exact)) <= 0.5 + delta
+        tables = fx._tables_for(bank, fx.Q5_28)
+        raw = np.zeros(2048, dtype=np.int64)
+        raw[:696:2] = fx.Q5_28.raw_max
+        raw[1:696:2] = fx.Q5_28.raw_min
+        assert_screen_rounds_to_gemm(raw, tables)
+
+
+class TestScreen:
+    """The float64 screen and the exact values taken from it."""
 
     def test_a_band_matches_the_full_screen(self, bank):
         rng = np.random.default_rng(67)
