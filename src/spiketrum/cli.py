@@ -8,8 +8,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.signal import chirp
-from scipy.stats import spearmanr
 
 from . import audio_io, decoder, encoder, itp, kernel_bank
 from .fixed_point import SaturationFlag, parse_qformat
@@ -122,6 +120,10 @@ def cmd_kernels(args):
 
 
 def cmd_sweep(args):
+    # scipy is imported here, not at module top: it doubles the start-up of every command
+    from scipy.signal import chirp
+    from scipy.stats import spearmanr
+
     bank = _load_bank(args)
     rate = bank.sample_rate
     duration = 5.0

@@ -13,18 +13,29 @@ an exact orthogonal projection: the residual energy drops by s**2 per
 iteration. The transform path and the sliding-dot-product path compute the
 same quantity and stay interchangeable.
 
-The float and the fixed-point loop refresh only the kernel rows that can
-still win, through one piece of bookkeeping (_RowBounds). Each row
-carries an upper bound on its peak |r[m, :]|: its peak when last
-transformed, raised after every code by a step bounding how far that
-subtraction moves the row at any lag (here |s| * bank.peak_bound[n, m]
-for a code (n, tau, s); +inf forces a full refresh). Each iteration takes
-one rfft of the residual, then inverse-transforms contiguous bands of
-rows until every stale row's bound plus the datapath's cut is below the
-best refreshed peak. Here the winner is the smallest kernel index at
-that peak, then its first lag: bit for bit the code a full recompute
-picks, since each row is transformed on its own. The direct path
-recomputes every row every iteration and is the oracle.
+The float and the fixed-point loop pursue a block of segments in
+lockstep, so that one round of numpy calls serves every segment in the
+block, and refresh only the kernel rows that can still win, through one
+piece of bookkeeping (_RowBounds). Each (segment, row) pair carries an
+upper bound on its peak |r[m, :]|: its peak when last transformed,
+raised after every code by a step bounding how far that subtraction
+moves the row at any lag (here |s| * bank.peak_bound[n, m] for a code
+(n, tau, s); +inf forces a full refresh). Each iteration takes one rfft
+of the block's live residuals, gathers the pairs whose bound plus the
+datapath's cut reaches their segment's best refreshed peak, and
+inverse-transforms them _CHUNK at a time through a workspace allocated
+once per block. Each chunk is reduced on the spot to per-pair results
+(here the peak, its first lag and the value there), so no (40, 2048) row
+matrix is kept. A segment's winner is the smallest kernel index at its
+best peak, then that row's first lag; one fancy-indexed update subtracts
+the codes of the whole block, and segments that stop leave the block.
+
+Codes and residuals are bit for bit those of a full recompute of each
+segment alone: each row is transformed and reduced on its own, so its
+values do not depend on the chunk or block it is computed in, and any
+refreshed set that holds every pair that can reach picks the same winner.
+The direct path recomputes every row every iteration, one segment at a
+time, and is the oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ MAX_SHIFT = 1024  # shifter range: tau in [-1024, 1023]
 # drift FFT and subtraction rounding can give a row's peak over 2048
 # iterations, far below any response the pursuit acts on.
 _ROUNDING_SLACK = 1e-9
+_BLOCK = 8    # segments one pool task pursues in lockstep
+_CHUNK = 24   # (segment, row) pairs per correlation engine call
 
 
 @dataclass
@@ -75,7 +88,7 @@ class Code:
     iteration: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     """Knobs for one encoding run.
 
@@ -83,7 +96,8 @@ class EncoderConfig:
     segment (0 disables feedback); path picks the correlation engine; fixed
     switches to the integer datapath emulation, given as (int_bits,
     frac_bits) of the 34-bit format, and the threshold must then lie in
-    that format's range.
+    that format's range. Frozen, so every value passes the checks below:
+    change one with dataclasses.replace.
     """
 
     sps: int = 16
@@ -147,36 +161,32 @@ def correlate_all_fft(buffer, bank, rows=slice(None), spectrum=None,
 
     Multiplying the buffer spectrum by the conjugate kernel spectra and
     transforming back yields the circular correlation at every lag. The
-    pursuit loop refreshes a band of rows in place: it passes the row
-    slice, the buffer spectrum and preallocated (K, 1025) product and
-    (K, 2048) correlation arrays, and rows outside the band keep their
-    values. Each row is transformed on its own, so a row comes out
-    bit-identical whatever band it is computed in.
+    pursuit calls it as its chunk engine: rows is an index array of
+    kernel rows, spectrum holds one buffer spectrum per entry of rows (or
+    one for all of them), and prod (len(rows), 1025) and out (len(rows),
+    2048) are preallocated workspaces; buffer is then unused. Each row is
+    transformed on its own, so a row comes out bit-identical whatever
+    chunk it is computed in.
     """
     if spectrum is None:
         spectrum = np.fft.rfft(buffer.data)
-    conj = bank.conj_spectra[rows]
     if out is None:
-        return np.fft.irfft(spectrum * conj, n=FFT_SIZE, axis=1)
-    np.fft.irfft(np.multiply(spectrum, conj, out=prod[rows]), n=FFT_SIZE,
-                 axis=1, out=out[rows])
-    return out
+        return np.fft.irfft(spectrum * bank.conj_spectra[rows], n=FFT_SIZE, axis=1)
+    np.take(bank.conj_spectra, rows, axis=0, out=prod, mode="clip")
+    return np.fft.irfft(np.multiply(spectrum, prod, out=prod), n=FFT_SIZE,
+                        axis=1, out=out)
 
 
-def find_best_code(correlations, segment_index=0, iteration=0, m=None):
+def find_best_code(correlations, segment_index=0, iteration=0):
     """Pick the strongest response over all kernels and lags.
 
     The winner maximizes |r|; s keeps its sign. Lags past 1023 wrap to
     negative shifts. Ties resolve to the smallest kernel index, then the
-    smallest lag (row-major argmax order). With m given, the kernel is
-    already chosen and only its row is searched.
+    smallest lag (row-major argmax order).
     """
     correlations = np.asarray(correlations)
-    if m is None:
-        flat = int(np.argmax(np.abs(correlations)))
-        m, u = divmod(flat, correlations.shape[1])
-    else:
-        u = int(np.argmax(np.abs(correlations[m])))
+    flat = int(np.argmax(np.abs(correlations)))
+    m, u = divmod(flat, correlations.shape[1])
     tau = u if u < MAX_SHIFT else u - FFT_SIZE
     return Code(m, tau, float(correlations[m, u]), segment_index, iteration)
 
@@ -202,78 +212,136 @@ def encode_segment(buffer, bank, config):
 
     Stops after config.sps codes or on the first response below the
     feedback threshold, which is discarded rather than emitted, so every
-    returned code satisfies |s| >= threshold. The FFT path refreshes only
-    the kernel rows whose peak can still win (see the module docstring);
-    the direct path recomputes every row every iteration and is the
-    oracle the FFT path is checked against.
+    returned code satisfies |s| >= threshold. A one-buffer block of the
+    lockstep pursuit (see the module docstring) on the FFT path; the
+    direct path recomputes every row every iteration and is the oracle
+    the FFT path is checked against.
+    """
+    return _encode_block([buffer], bank, config)[0]
+
+
+def _encode_block(buffers, bank, config):
+    """Pursue a block of buffers in lockstep; one code list per buffer.
+
+    Every buffer ends up holding its residual, exactly as if it had been
+    pursued on its own.
     """
     if config.path == "direct":
-        return _encode_segment_direct(buffer, bank, config)
-    rows = _RowBounds(bank.kernel_count)
+        return [_encode_segment_direct(buffer, bank, config) for buffer in buffers]
+    x = np.array([buffer.data for buffer in buffers])
     energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
-    slack = _ROUNDING_SLACK * np.sqrt(buffer.data @ buffer.data * energy) * (1.0 + energy)
-    codes = []
+    slack = _ROUNDING_SLACK * np.sqrt(np.einsum("ij,ij->i", x, x) * energy) * (1.0 + energy)
+    offsets = np.arange(bank.kernel_length)
+    rows = _RowBounds(len(buffers), bank.kernel_count)
+    codes = [[] for _ in buffers]
     for iteration in range(config.sps):
-        spectrum = np.fft.rfft(buffer.data)
-        rows.refresh(lambda band: correlate_all_fft(buffer, bank, band, spectrum,
-                                                    rows.prod, rows.r), slack)
-        m = int(np.argmax(rows.peak))
-        code = find_best_code(rows.r, buffer.segment_index, iteration, m)
-        if feedback_should_stop(code, config.threshold):
-            break
-        subtract_component(buffer, bank.kernels[m], code.tau, code.s)
-        codes.append(code)
-        rows.raise_bounds(abs(code.s) * bank.peak_bound[m])
+        rows.refresh(np.fft.rfft(x, axis=1), lambda kernels, spectra, prod, out:
+                     correlate_all_fft(None, bank, kernels, spectra, prod, out),
+                     _peak_lag_value, slack)
+        m, u, s = rows.pick()
+        stop = np.abs(s) < config.threshold
+        if stop.any():
+            rows.retire(stop, buffers, x)
+            keep = ~stop
+            x, slack, m, u, s = x[keep], slack[keep], m[keep], u[keep], s[keep]
+            if not keep.any():
+                break
+        _emit(codes, buffers, rows.live, m, u, s.tolist(), iteration)
+        seg = np.arange(len(m))[:, None]
+        idx = (u[:, None] + offsets) % FFT_SIZE
+        x[seg, idx] -= s[:, None] * bank.samples_matrix[m]
+        rows.raise_bounds(np.abs(s)[:, None] * bank.peak_bound[m])
+    rows.retire(np.ones(len(rows.live), dtype=bool), buffers, x)
     return codes
 
 
+def _peak_lag_value(segments, kernels, r):
+    """Float chunk reduction: per pair the peak |r|, its first lag and r there."""
+    pair = np.arange(len(r))
+    up, down = r.argmax(axis=1), r.argmin(axis=1)
+    high, low = r[pair, up], -r[pair, down]
+    # |r| peaks first at the earlier of the two extremes that reach it
+    use_down = (low > high) | ((low == high) & (down < up))
+    peak = np.maximum(high, low)
+    return peak, peak, np.where(use_down, down, up), np.where(use_down, -low, high)
+
+
+def _emit(codes, buffers, live, m, u, s, iteration):
+    """Append one code per live segment: kernel m at lag u with intensity s."""
+    tau = np.where(u < MAX_SHIFT, u, u - FFT_SIZE)
+    for j, kernel, shift, value in zip(live.tolist(), m.tolist(), tau.tolist(), s):
+        codes[j].append(Code(kernel, shift, value, buffers[j].segment_index, iteration))
+
+
 class _RowBounds:
-    """Correlation rows and their peak bounds over one segment's pursuit."""
+    """Peak bounds of every (segment, row) pair over a block's lockstep pursuit.
 
-    def __init__(self, count):
-        self.r = np.empty((count, FFT_SIZE))  # correlation (or screen) rows
-        self.prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
-        self.peak = np.empty(count)           # max |r[m, :]| of rows refreshed this iteration, else -1
-        self.bound = np.full(count, np.inf)   # >= the peak row m would have if refreshed now
-        self.floor = np.zeros(count)          # <= that peak, up to the cut; only picks the first band
-        self.stale = np.empty(count)          # bound + cut of rows not refreshed yet, else -inf
-        self.band = slice(0, count)
+    Arrays are (live segments, rows); segments that stop are dropped from
+    them (retire). The chunk workspace is allocated once per block.
+    """
 
-    def refresh(self, correlate, cut):
-        """Refresh bands of rows, written into r by correlate(band), until
-        no stale row's bound plus cut reaches the best peak; returns it."""
-        r, peak, bound, floor, stale = self.r, self.peak, self.bound, self.floor, self.stale
+    def __init__(self, segments, count):
+        shape = (segments, count)
+        self.live = np.arange(segments)      # block position of each live segment
+        self.peak = np.empty(shape)          # max |r| if refreshed this iteration, else -1
+        self.top = np.empty(shape)           # the key the winner maximizes, else -1
+        self.lag = np.zeros(shape, dtype=np.intp)  # first lag at the top
+        self.value = np.empty(shape)         # r (or the exact value) at that lag
+        self.bound = np.full(shape, np.inf)  # >= the peak if refreshed now
+        self.floor = np.zeros(shape)         # <= that peak, up to the cut
+        self.first = np.ones(shape, dtype=bool)  # pairs the next refresh starts with
+        self.spectra = np.empty((_CHUNK, FFT_SIZE // 2 + 1), dtype=complex)
+        self.prod = np.empty_like(self.spectra)
+        self.rows = np.empty((_CHUNK, FFT_SIZE))
+
+    def refresh(self, spectra, correlate, reduce, cut):
+        """Refresh pairs until no stale pair's bound plus its segment's cut
+        reaches that segment's best peak.
+
+        spectra holds one spectrum per live segment. correlate(kernels,
+        spectra, prod, out) writes the rows of a chunk of pairs into out;
+        reduce(segments, kernels, rows) returns the chunk's peak, top, lag
+        and value per pair.
+        """
+        peak, top = self.peak, self.top
         peak.fill(-1.0)
-        np.add(bound, cut, out=stale)
-        band = self.band
-        best = 0.0
-        while True:
-            correlate(band)
-            top = np.maximum(r[band].max(axis=1), -r[band].min(axis=1), out=peak[band])
-            bound[band] = floor[band] = top
-            stale[band] = -np.inf
-            best = max(best, top.max())
-            reach = stale >= best
-            if not reach.any():
-                return best
-            band = _run_around(reach.tolist(), int(np.argmax(stale)))
+        top.fill(-1.0)
+        stale = self.bound + cut[:, None]
+        todo = self.first
+        while todo.any():
+            seg, row = np.nonzero(todo)
+            for lo in range(0, len(seg), _CHUNK):
+                s, n = seg[lo:lo + _CHUNK], row[lo:lo + _CHUNK]
+                k = len(s)
+                np.take(spectra, s, axis=0, out=self.spectra[:k], mode="clip")
+                r = correlate(n, self.spectra[:k], self.prod[:k], self.rows[:k])
+                peak[s, n], top[s, n], self.lag[s, n], self.value[s, n] = \
+                    reduce(s, n, r)
+            self.bound[todo] = self.floor[todo] = peak[todo]
+            stale[todo] = -np.inf
+            todo = stale >= peak.max(axis=1)[:, None]
+
+    def pick(self):
+        """Per live segment: the smallest row at the largest top, its lag and value."""
+        m = self.top.argmax(axis=1)
+        pair = np.arange(len(m))
+        return m, self.lag[pair, m], self.value[pair, m]
 
     def raise_bounds(self, step):
-        """Raise every bound by step after a subtraction; +inf refreshes all rows next."""
+        """Raise the bounds by step (segments, rows) after the subtractions;
+        +inf refreshes a pair next. The next refresh starts with the pairs
+        that reach the largest floor, a lower bound on the best peak."""
         self.bound += step
         self.floor -= step
-        self.band = _run_around((self.bound >= self.floor.max()).tolist(),
-                                int(np.argmax(self.floor)))
+        self.first = self.bound >= self.floor.max(axis=1)[:, None]
 
-
-def _run_around(mask, row):
-    """Slice of the run of true entries in mask that contains row."""
-    lo = hi = row
-    while lo > 0 and mask[lo - 1]:
-        lo -= 1
-    while hi + 1 < len(mask) and mask[hi + 1]:
-        hi += 1
-    return slice(lo, hi + 1)
+    def retire(self, done, buffers, residuals):
+        """Write the residuals of the done segments back and drop them."""
+        for i in np.flatnonzero(done):
+            buffers[self.live[i]].data[:] = residuals[i]
+        keep = ~done
+        for name in ("live", "peak", "top", "lag", "value", "bound", "floor", "first"):
+            setattr(self, name, getattr(self, name)[keep])
 
 
 def _encode_segment_direct(buffer, bank, config):
@@ -307,9 +375,10 @@ def _worker_count():
 def encode_stream(samples, bank, config, flag=None):
     """Encode a whole sample stream; returns all codes in segment order.
 
-    Segments are independent, so with SPIKETRUM_THREADS > 1 they encode on
-    a thread pool; results are concatenated in segment order either way and
-    the output is identical for any worker count. Non-finite samples are
+    Segments are independent: they are pursued in lockstep blocks of
+    _BLOCK, and with SPIKETRUM_THREADS > 1 the blocks encode on a thread
+    pool; results are concatenated in segment order either way and the
+    output is identical for any worker count. Non-finite samples are
     rejected, naming the first one's index; so are samples outside the
     fixed-point format's range, which would otherwise saturate silently.
     On the fixed datapath, flag (a fixed_point.SaturationFlag) is set when
@@ -330,20 +399,21 @@ def encode_stream(samples, bank, config, flag=None):
         if bad.size:
             raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "
                              f"the {fmt} range [{lo}, {hi}]")
-        encode_one = lambda buf: fixed_point.encode_segment_fixed(buf, bank, config,
-                                                                  flag=flag)
+        encode_block = lambda block: fixed_point._encode_block_fixed(block, bank, config,
+                                                                     flag=flag)
     elif flag is not None:
         raise ValueError("a saturation flag needs the fixed-point datapath "
                          "(config.fixed); the float datapath does not saturate")
     else:
-        encode_one = lambda buf: encode_segment(buf, bank, config)
+        encode_block = lambda block: _encode_block(block, bank, config)
+    blocks = [buffers[i:i + _BLOCK] for i in range(0, len(buffers), _BLOCK)]
     workers = _worker_count()
-    if workers > 1 and len(buffers) > 1:
+    if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_segment = list(pool.map(encode_one, buffers))
+            per_block = list(pool.map(encode_block, blocks))
     else:
-        per_segment = [encode_one(buf) for buf in buffers]
-    return [code for segment in per_segment for code in segment]
+        per_block = [encode_block(block) for block in blocks]
+    return [code for block in per_block for segment in block for code in segment]
 
 
 CSV_HEADER = ["segment", "iteration", "kernel", "tau", "intensity"]

@@ -24,23 +24,26 @@ For unit-norm kernels delta_max, the delta of 2048 samples at the
 format's limit, is below 0.4.
 
 Rounding moves a value by at most half a unit and clipping never widens a
-difference, so every exact integer lies within 0.5 + delta of its screen
-and only (row, lag) pairs whose |screen| is within 1 + 2 * delta of the
-best can hold the exact peak. Such a candidate's screen rounds to its
-exact integer unless it lies within delta of a half-integer; then the
-row's candidates are computed exactly (_correlate_raw_gemm, also the
-tests' oracle). The winner is the smallest row at the largest exact
-|value|, then its first lag.
+difference, so every exact integer lies within 0.5 + delta of its screen.
+A row's exact maximum therefore sits only at lags whose |screen| is
+within 1 + 2 * delta of the row's peak screen, and every other lag rounds
+below it. Such a candidate's screen rounds to its exact integer unless it
+lies within delta of a half-integer; then the row's candidates are
+computed exactly (_correlate_raw_gemm, also the tests' oracle). Each
+chunk of the lockstep refresh is reduced this way to every pair's exact
+peak, its first lag and value (_exact_peak). The winner is the smallest
+row at the largest exact |value|, then its first lag.
 
-Rows are refreshed as in the float loop (encoder._RowBounds), with cut
-1 + 2 * delta. After a code (m, tau, s_raw) row n's bound rises by
+Blocks of segments are pursued in lockstep with the float loop's
+bookkeeping (encoder._RowBounds), with cut 1 + 2 * delta per segment.
+After a code (m, tau, s_raw) row n's bound rises by
 |s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1 + 2 * delta_max: B_q bounds
 the quantized kernels' cross-correlation peaks, the L1 term the q_mul
 product's rounding, the rest the screen's error before and after and the
 exact values' rounding. Clipping only shrinks differences; a subtraction
 whose product or residual clips is no longer s times a kernel, so its
 step is +inf. Codes and residual are bit-identical to an exact full
-recompute.
+recompute of each segment alone.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import Code, MAX_SHIFT, _RowBounds, _circular_windows
+from .encoder import _RowBounds, _circular_windows, _emit
 from .kernel_bank import FFT_SIZE, cross_peak_bound
 
 _WIDTH = 34
@@ -264,34 +267,43 @@ def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None
 
 
 def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
-    """Screen rows of the integer correlation into out (module docstring).
+    """Screen a chunk of rows of the integer correlation into out (module docstring).
 
-    spectrum is rfft(raw); prod and out are preallocated as for
+    spectrum is rfft(raw), one per entry of the index array rows or one
+    for all of them; prod and out are workspaces as for
     encoder.correlate_all_fft.
     """
-    screen = np.fft.irfft(np.multiply(spectrum, tables.conj_spectra[rows], out=prod[rows]),
-                          n=FFT_SIZE, axis=1, out=out[rows])
-    np.clip(screen, fmt.raw_min, fmt.raw_max, out=screen)
+    np.take(tables.conj_spectra, rows, axis=0, out=prod, mode="clip")
+    screen = np.fft.irfft(np.multiply(spectrum, prod, out=prod), n=FFT_SIZE, axis=1,
+                          out=out)
+    return np.clip(screen, fmt.raw_min, fmt.raw_max, out=screen)
 
 
-def _exact_peak(screen, peak, window, delta, exact_row):
-    """(m, u, s_raw) of the largest exact |value|: smallest row, then first lag.
+def _exact_peak(screen, cut, delta, exact_row):
+    """Per row of screen: its peak |screen|, and the lag and exact value of
+    its largest exact |value|, the first such lag on ties.
 
-    Candidates are the refreshed rows' lags whose |screen| reaches window.
-    Their screens round to the exact integers, unless one lies within delta
-    of a half-integer: then its row takes exact_row(n, lags).
+    cut and delta are per row. The candidates, lags whose |screen| is
+    within cut of the row's peak, hold every lag at the row's exact
+    maximum. Their screens round to the exact integers, unless one lies
+    within delta of a half-integer: then the row's candidates take
+    exact_row(j, lags).
     """
-    top = -1
-    for n in np.flatnonzero(peak >= max(window, 0.0)):
-        lags = np.flatnonzero(np.abs(screen[n]) >= window)
-        values = screen[n, lags]
-        exact = np.rint(values)
-        if np.any(np.abs(values - exact) >= 0.5 - delta):
-            exact = exact_row(n, lags)
-        k = int(np.argmax(np.abs(exact)))
-        if abs(exact[k]) > top:
-            top, m, u, s_raw = abs(exact[k]), int(n), int(lags[k]), int(exact[k])
-    return m, u, s_raw
+    peak = np.maximum(screen.max(axis=1), -screen.min(axis=1))
+    low = (peak - cut)[:, None]
+    row, lag = np.nonzero((screen >= low) | (screen <= -low))
+    values = screen[row, lag]
+    exact = np.rint(values)
+    # a set, not np.unique, which imports numpy.ma (tens of ms, 1.7 MB)
+    for j in set(row[np.abs(values - exact) >= (0.5 - delta)[row]].tolist()):
+        own = row == j
+        exact[own] = exact_row(j, lag[own])
+    # one key per candidate, larger for a larger |value| and then an earlier
+    # lag (exact in float64: |value| <= 2**33); each row's largest is its winner
+    key = np.abs(exact) * FFT_SIZE + (FFT_SIZE - 1 - lag)
+    best = np.maximum.reduceat(key, np.searchsorted(row, np.arange(len(screen))))
+    win = np.flatnonzero(key == best[row])
+    return peak, lag[win], exact[win]
 
 
 def _peak_step(tables, m, s_raw):
@@ -316,47 +328,78 @@ def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
     subtraction, so callers can watch for quantization pushing energy up,
     and flag (a SaturationFlag) is set if the buffer saturates on
     quantization, a code's correlation sits at the format's limit, or a
-    subtraction clips.
+    subtraction clips. A one-buffer block of the lockstep pursuit.
+    """
+    return _encode_block_fixed([buffer], bank, config, flag, [energy_trace])[0]
+
+
+def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
+    """The integer pursuit on a block of buffers in lockstep; one code list per buffer.
+
+    traces, when given, holds one energy trace list (or None) per buffer.
     """
     fmt = QFormat(*config.fixed) if config.fixed is not None else Q5_28
     tables = _tables_for(bank, fmt)
-    raw = to_fixed(buffer.data, fmt, flag)
+    raw = to_fixed(np.array([buffer.data for buffer in buffers]), fmt, flag)
     threshold_raw = to_fixed(config.threshold, fmt)
     offsets = np.arange(tables.kernel_length)
-    rows = _RowBounds(bank.kernel_count)
-    if energy_trace is not None:
-        residual = to_float(raw, fmt)
-        energy_trace.append(float(residual @ residual))
-    codes = []
+    rows = _RowBounds(len(buffers), bank.kernel_count)
+    codes = [[] for _ in buffers]
+    traces = traces or [None] * len(buffers)
+
+    def trace_energy():
+        for i, j in enumerate(rows.live.tolist()):
+            if traces[j] is not None:
+                residual = to_float(raw[i], fmt)
+                traces[j].append(float(residual @ residual))
+
+    def reduce(segments, kernels, screen):
+        peak, lag, value = _exact_peak(
+            screen, cut[segments], delta[segments],
+            lambda j, lags: _correlate_raw_gemm(raw[segments[j]], tables, fmt,
+                                                slice(kernels[j], kernels[j] + 1), lags)[0])
+        return peak, np.abs(value), lag, value
+
+    trace_energy()
     for iteration in range(config.sps):
         data = raw.astype(np.float64)
-        spectrum = np.fft.rfft(data)
-        delta = _SCREEN_ERROR * np.sqrt(data @ data) * tables.kernel_norm
+        delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", data, data)) * tables.kernel_norm
         cut = 1.0 + 2.0 * delta
-        best = rows.refresh(lambda band: _correlate_raw_fft(spectrum, tables, fmt, band,
-                                                            rows.prod, rows.r), cut)
-        m, u, s_raw = _exact_peak(
-            rows.r, rows.peak, best - cut, delta,
-            lambda n, lags: _correlate_raw_gemm(raw, tables, fmt, slice(n, n + 1), lags)[0])
-        if abs(s_raw) < threshold_raw:
-            break
-        if flag is not None and s_raw in (fmt.raw_min, fmt.raw_max):
+        rows.refresh(np.fft.rfft(data, axis=1), lambda kernels, spectra, prod, out:
+                     _correlate_raw_fft(spectra, tables, fmt, kernels, prod, out),
+                     reduce, cut)
+        m, u, value = rows.pick()
+        s_raw = value.astype(np.int64)
+        stop = np.abs(s_raw) < threshold_raw
+        if stop.any():
+            rows.retire(stop, buffers, to_float(raw, fmt))
+            keep = ~stop
+            raw, m, u, s_raw = raw[keep], m[keep], u[keep], s_raw[keep]
+            if not keep.any():
+                break
+        if flag is not None and np.any((s_raw == fmt.raw_min) | (s_raw == fmt.raw_max)):
             flag.seen = True
-        tau = u if u < MAX_SHIFT else u - FFT_SIZE
-        codes.append(Code(m, tau, to_float(s_raw, fmt),
-                          buffer.segment_index, iteration))
-        idx = (u + offsets) % FFT_SIZE
+        _emit(codes, buffers, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
+        seg = np.arange(len(m))[:, None]
+        idx = (u[:, None] + offsets) % FFT_SIZE
         clipped = SaturationFlag()
-        product = q_mul(s_raw, tables.kernel_raw[m], fmt, clipped)
-        raw[idx] = _saturate_int(raw[idx] - product, fmt, clipped)
-        if clipped and flag is not None:
+        product = q_mul(s_raw[:, None], tables.kernel_raw[m], fmt, clipped)
+        update = raw[seg, idx] - product
+        over = np.any((update < fmt.raw_min) | (update > fmt.raw_max), axis=1)
+        if clipped:  # some product saturated: find whose
+            for j in range(len(m)):
+                own = SaturationFlag()
+                q_mul(s_raw[j], tables.kernel_raw[m[j]], fmt, own)
+                over[j] |= own.seen
+        raw[seg, idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
+        if flag is not None and over.any():
             flag.seen = True
         # a clipped update is no longer s times a kernel: refresh every row
-        rows.raise_bounds(np.inf if clipped else _peak_step(tables, m, s_raw))
-        if energy_trace is not None:
-            residual = to_float(raw, fmt)
-            energy_trace.append(float(residual @ residual))
-    buffer.data[:] = to_float(raw, fmt)
+        step = _peak_step(tables, m, s_raw[:, None])
+        step[over] = np.inf
+        rows.raise_bounds(step)
+        trace_energy()
+    rows.retire(np.ones(len(rows.live), dtype=bool), buffers, to_float(raw, fmt))
     return codes
 
 

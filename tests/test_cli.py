@@ -1,10 +1,14 @@
 """Command-line behavior, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spiketrum
 from spiketrum import audio_io, cli, itp, kernel_bank
 from spiketrum.encoder import EncoderConfig, encode_stream, read_codes_csv
 
@@ -287,6 +291,19 @@ class TestBench:
     def test_zero_seconds_is_no_input(self, capsys):
         assert cli.main(["bench", "--seconds", "0"]) == 1
         assert "no input" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_importing_the_cli_leaves_scipy_out(self):
+        # only sweep needs scipy; encode and decode must not pay for loading it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spiketrum.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spiketrum.cli; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestParser:

@@ -1,7 +1,9 @@
 """Matching pursuit loop: correlation oracles, greedy selection, energy laws."""
 
+import dataclasses
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,15 +333,94 @@ class TestPrunedRefresh:
         rows = []
         original = enc.correlate_all_fft
 
-        def counting(buffer, bank, band=slice(None), *args):
-            rows.append(len(range(bank.kernel_count)[band]))
-            return original(buffer, bank, band, *args)
+        def counting(buffer, bank, chunk=slice(None), *args):
+            rows.append(np.size(np.arange(bank.kernel_count)[chunk]))
+            return original(buffer, bank, chunk, *args)
 
         monkeypatch.setattr(enc, "correlate_all_fft", counting)
         samples = np.random.default_rng(34).uniform(-1, 1, 696)
         buf = enc.SegmentBuffer.from_samples(samples)
         enc.encode_segment(buf, bank, enc.EncoderConfig(sps=64))
         assert sum(rows) < 0.5 * 64 * bank.kernel_count
+
+
+def mixed_segments():
+    """Eight segments that leave a pursuit under threshold 0.1 at different
+    iterations: silence at iteration 0, noise at the full budget, tones between."""
+    rng = np.random.default_rng(40)
+    t = np.arange(696) / 16000.0
+    return [np.zeros(696), rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
+            0.1 * np.sin(2 * np.pi * 1230 * t) + 0.05 * np.cos(2 * np.pi * 210 * t),
+            np.zeros(696), 0.5 * rng.uniform(-1, 1, 696),
+            0.15 * np.sin(2 * np.pi * 3000 * t), 0.06 * np.sin(2 * np.pi * 800 * t)]
+
+
+def stream_segments(samples, bank, config, encode_segment):
+    """Codes of a stream pursued one segment at a time."""
+    return [code for buffer in enc.segment_stream(samples, bank.segment_length)
+            for code in encode_segment(buffer, bank, config)]
+
+
+class TestBlockPursuit:
+    """Segments pursued in lockstep give the codes they give alone, bit for bit."""
+
+    def test_mixed_block_matches_each_segment_alone(self, bank):
+        config = enc.EncoderConfig(sps=32, threshold=0.1)
+        segments = mixed_segments()
+        block = [enc.SegmentBuffer.from_samples(x, i) for i, x in enumerate(segments)]
+        codes = enc._encode_block(block, bank, config)
+        assert {len(c) for c in codes} >= {0, 32} and len({len(c) for c in codes}) >= 4
+        for i, samples in enumerate(segments):
+            alone = enc.SegmentBuffer.from_samples(samples, i)
+            full = enc.SegmentBuffer.from_samples(samples, i)
+            assert codes[i] == enc.encode_segment(alone, bank, config)
+            assert codes[i] == full_recompute(full, bank, config)
+            np.testing.assert_array_equal(block[i].data, alone.data)
+            np.testing.assert_array_equal(block[i].data, full.data)
+
+    @pytest.mark.parametrize("count", [1, enc._BLOCK - 1, enc._BLOCK, enc._BLOCK + 1,
+                                       2 * enc._BLOCK + 1])
+    def test_stream_of_blocks(self, bank, count):
+        rng = np.random.default_rng(41)
+        samples = 0.4 * rng.uniform(-1, 1, count * 696 - 300)
+        config = enc.EncoderConfig(sps=6, threshold=0.05)
+        assert enc.encode_stream(samples, bank, config) == \
+            stream_segments(samples, bank, config, enc.encode_segment)
+
+    def test_thread_counts_give_identical_codes(self, bank, monkeypatch):
+        samples = np.concatenate(mixed_segments() * 3)[:-100]
+        config = enc.EncoderConfig(sps=8, threshold=0.1)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SPIKETRUM_THREADS", threads)
+            runs.append(enc.encode_stream(samples, bank, config))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == stream_segments(samples, bank, config, enc.encode_segment)
+
+    @pytest.mark.parametrize("fixed", [None, (5, 28)])
+    def test_workspace_does_not_grow_with_segments(self, bank, monkeypatch, fixed):
+        # Traced allocations at the peak, beyond the output codes and the
+        # 2048-sample segment buffers: the same for 8 and 64 segments, and
+        # below the (block, 40, 2048) float64 rows a block's first iteration
+        # would need if its refresh were not chunked.
+        monkeypatch.setenv("SPIKETRUM_THREADS", "1")
+        config = enc.EncoderConfig(sps=16, fixed=fixed)
+        rng = np.random.default_rng(42)
+        enc.encode_stream(rng.uniform(-1, 1, 2000), bank, config)  # fill lazy tables
+        beyond = {}
+        for count in (8, 64):
+            samples = rng.uniform(-1, 1, count * 696)
+            tracemalloc.start()
+            try:
+                codes = enc.encode_stream(samples, bank, config)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(codes) == 16 * count
+            beyond[count] = peak - current - count * enc.FFT_SIZE * 8
+        rows = enc._BLOCK * bank.kernel_count * enc.FFT_SIZE * 8
+        assert abs(beyond[64] - beyond[8]) < 64 * 1024, beyond
+        assert beyond[64] < rows, beyond
 
 
 class TestEncodeStream:
@@ -450,6 +531,16 @@ class TestEncoderConfig:
             enc.EncoderConfig(threshold=-0.1)
         with pytest.raises(ValueError):
             enc.EncoderConfig(path="walsh")
+
+    def test_frozen_so_every_change_is_checked(self):
+        config = enc.EncoderConfig(sps=4, fixed=(5, 28))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.threshold = 100.0
+        assert config.threshold == 0.0
+        message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dataclasses.replace(config, threshold=100.0)
+        assert dataclasses.replace(config, threshold=0.5).threshold == 0.5
 
 
 class TestCodesCsv:

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from spiketrum import encoder
 from spiketrum import fixed_point as fx
 from spiketrum.encoder import MAX_SHIFT, Code, EncoderConfig, SegmentBuffer
 from spiketrum.kernel_bank import FFT_SIZE
@@ -189,10 +190,12 @@ class TestCorrelateFixed:
 def screen_of(raw, tables, rows=slice(None)):
     """The float64 screen of raw in the given rows, zeros elsewhere."""
     count = tables.kernel_raw.shape[0]
+    chunk = np.arange(count)[rows]
     out = np.zeros((count, FFT_SIZE))
-    prod = np.empty((count, FFT_SIZE // 2 + 1), dtype=complex)
-    fx._correlate_raw_fft(np.fft.rfft(raw.astype(np.float64)), tables, fx.Q5_28, rows,
-                          prod, out)
+    prod = np.empty((len(chunk), FFT_SIZE // 2 + 1), dtype=complex)
+    out[chunk] = fx._correlate_raw_fft(np.fft.rfft(raw.astype(np.float64)), tables,
+                                       fx.Q5_28, chunk, prod,
+                                       np.empty((len(chunk), FFT_SIZE)))
     return out
 
 
@@ -207,6 +210,26 @@ def exact_rows(exact):
     return lambda n, lags: exact[n, lags]
 
 
+def exact_peaks(screen, delta, exact):
+    """_exact_peak over every row of screen, the cut and delta of the pursuit."""
+    rows = len(screen)
+    return fx._exact_peak(screen, np.full(rows, 1.0 + 2.0 * delta), np.full(rows, delta),
+                          exact_rows(exact))
+
+
+def assert_exact_peaks(screen, delta, exact):
+    """Every row's exact peak, first lag and value are those of the exact table,
+    and the smallest row at the largest one is the exact table's winner."""
+    peak, lag, value = exact_peaks(screen, delta, exact)
+    np.testing.assert_array_equal(peak, np.max(np.abs(screen), axis=1))
+    first = np.argmax(np.abs(exact), axis=1)
+    np.testing.assert_array_equal(lag, first)
+    np.testing.assert_array_equal(value, exact[np.arange(len(exact)), first])
+    m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
+    n = int(np.argmax(np.abs(value)))
+    assert (n, lag[n], value[n]) == (m, u, exact[m, u])
+
+
 def assert_screen_rounds_to_gemm(raw, tables):
     """The FFT route (screen, rounded or recomputed) gives the GEMM route's values."""
     screen = screen_of(raw, tables)
@@ -217,11 +240,8 @@ def assert_screen_rounds_to_gemm(raw, tables):
     # away from a rounding boundary the screen rounds to the exact value
     clear = np.abs(screen - np.rint(screen)) < 0.5 - delta
     np.testing.assert_array_equal(np.rint(screen)[clear], exact[clear])
-    # and the peak taken from it over every row and lag is the GEMM route's
-    m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
-    peak = np.max(np.abs(screen), axis=1)
-    assert fx._exact_peak(screen, peak, 0.0, delta, exact_rows(exact)) == \
-        (m, u, int(exact[m, u]))
+    # and the peak taken from it in every row is the GEMM route's
+    assert_exact_peaks(screen, delta, exact)
 
 
 class TestDualRoute:
@@ -255,6 +275,21 @@ class TestScreen:
         np.testing.assert_array_equal(out[band], full[band])
         assert not out[:11].any() and not out[17:].any()
 
+    def test_a_chunk_of_pairs_matches_each_buffer_alone(self, bank):
+        # a chunk mixes (segment, row) pairs: one spectrum per entry
+        rng = np.random.default_rng(69)
+        tables = fx._tables_for(bank, fx.Q5_28)
+        raws = [fx.to_fixed(np.pad(a * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
+                for a in (0.3, 1.0, 30.0)]
+        segments = np.array([2, 0, 1, 0, 2])
+        rows = np.array([39, 3, 3, 17, 0])
+        spectra = np.fft.rfft(np.array(raws, dtype=np.float64), axis=1)[segments]
+        out = fx._correlate_raw_fft(spectra, tables, fx.Q5_28, rows,
+                                    np.empty((5, FFT_SIZE // 2 + 1), dtype=complex),
+                                    np.empty((5, FFT_SIZE)))
+        for j, (segment, row) in enumerate(zip(segments, rows)):
+            np.testing.assert_array_equal(out[j], screen_of(raws[segment], tables)[row])
+
     def test_screens_near_a_rounding_boundary_take_the_exact_values(self, bank):
         # every screen moved to within delta of a half-integer, on the side
         # that rounds away from the exact value: only the recompute is right
@@ -266,10 +301,7 @@ class TestScreen:
         m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
         for offset in (0.5 + 0.5 * delta, 0.5 - 0.5 * delta):
             screen = exact + np.where(exact < 0, -offset, offset)
-            peak = np.max(np.abs(screen), axis=1)
-            window = peak.max() - (1.0 + 2.0 * delta)
-            assert fx._exact_peak(screen, peak, window, delta, exact_rows(exact)) == \
-                (m, u, int(exact[m, u]))
+            assert_exact_peaks(screen, delta, exact)
 
     def test_exact_ties_go_to_the_first_row_and_lag(self):
         # the exact values tie at 1000 over two rows and several lags, and the
@@ -280,12 +312,13 @@ class TestScreen:
         screen = exact.copy()
         screen[1, [700, 50, 900]] = [999.8, -999.6, 999.4]
         screen[2, 10] = 1000.3
-        peak = np.max(np.abs(screen), axis=1)
-        window = peak.max() - 1.0
-        assert fx._exact_peak(screen, peak, window, 0.0, exact_rows(exact)) == (1, 50, -1000)
-        # rows outside the refresh (peak -1) are never candidates
-        peak[1] = -1.0
-        assert fx._exact_peak(screen, peak, window, 0.0, exact_rows(exact)) == (2, 10, 1000)
+        _, lag, value = exact_peaks(screen, 0.0, exact)
+        assert (lag[1], value[1]) == (50, -1000) and (lag[2], value[2]) == (10, 1000)
+        assert int(np.argmax(np.abs(value))) == 1
+        assert_exact_peaks(screen, 0.0, exact)
+        # a chunk without row 1: row 2 holds the largest value
+        _, lag, value = exact_peaks(screen[[0, 2, 3]], 0.0, exact[[0, 2, 3]])
+        assert int(np.argmax(np.abs(value))) == 1 and (lag[1], value[1]) == (10, 1000)
 
 
 class TestEncodeSegmentFixed:
@@ -404,14 +437,15 @@ def full_recompute_fixed(buffer, bank, config):
 
 
 def record_candidates(monkeypatch):
-    """Record how many (row, lag) candidates each pursuit iteration takes."""
+    """Record how many candidate lags each refreshed row takes, in refresh order."""
     sizes = []
     original = fx._exact_peak
 
-    def recording(screen, peak, window, *args):
-        rows = peak >= max(window, 0.0)
-        sizes.append(int(np.count_nonzero(np.abs(screen[rows]) >= window)))
-        return original(screen, peak, window, *args)
+    def recording(screen, cut, *args):
+        mag = np.abs(screen)
+        peak = mag.max(axis=1)
+        sizes.extend(np.count_nonzero(mag >= (peak - cut)[:, None], axis=1).tolist())
+        return original(screen, cut, *args)
 
     monkeypatch.setattr(fx, "_exact_peak", recording)
     return sizes
@@ -449,7 +483,8 @@ class TestPrunedRefreshFixed:
         codes, _ = self.assert_parity(bank, np.zeros(696),
                                       EncoderConfig(sps=4, fixed=(5, 28)))
         assert [(c.m, c.tau, c.s) for c in codes] == [(0, 0, 0.0)] * 4
-        assert sizes == [bank.kernel_count * FFT_SIZE] * 4
+        # every row is refreshed in each of the four iterations, with every lag
+        assert sizes == [FFT_SIZE] * (4 * bank.kernel_count)
 
     def test_exact_ties_over_several_lags(self, bank, monkeypatch):
         # A buffer repeating with period 341 correlates to the same integer at
@@ -460,13 +495,15 @@ class TestPrunedRefreshFixed:
         inputs = [0.5 * np.random.default_rng(seed).uniform(-1, 1, 341) for seed in (0, 1)]
         inputs.append(31.9 * np.sign(inputs[0]))
         for index, samples in enumerate(inputs):
+            sizes.clear()
             buffer = SegmentBuffer(np.resize(samples, FFT_SIZE), index, FFT_SIZE)
             pruned = SegmentBuffer(buffer.data.copy(), index, FFT_SIZE)
             config = EncoderConfig(sps=4, fixed=(5, 28))
             want, _ = full_recompute_fixed(buffer, bank, config)
             assert fx.encode_segment_fixed(pruned, bank, config) == want
             np.testing.assert_array_equal(pruned.data, buffer.data)
-            assert sizes[-4] >= 6
+            # the first iteration refreshes every row: the best one holds the ties
+            assert max(sizes[:bank.kernel_count]) >= 6
 
     def test_zero_budget(self, bank):
         samples = np.random.default_rng(62).uniform(-1, 1, 696)
@@ -537,15 +574,69 @@ class TestPrunedRefreshFixed:
         rows = []
         original = fx._correlate_raw_fft
 
-        def counting(spectrum, tables, fmt, band, prod, out):
-            rows.append(len(range(bank.kernel_count)[band]))
-            return original(spectrum, tables, fmt, band, prod, out)
+        def counting(spectrum, tables, fmt, chunk, prod, out):
+            rows.append(len(chunk))
+            return original(spectrum, tables, fmt, chunk, prod, out)
 
         monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
         samples = np.random.default_rng(66).uniform(-1, 1, 696)
         fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
                                 EncoderConfig(sps=64, fixed=(5, 28)))
         assert sum(rows) < 0.5 * 64 * bank.kernel_count
+
+
+class TestBlockPursuitFixed:
+    """Segments pursued in lockstep give the codes they give alone, bit for bit."""
+
+    def segments(self):
+        # under threshold 0.2 these leave an 8-code pursuit at different
+        # iterations: silence at 0, noise at the full budget, a quiet tone between
+        rng = np.random.default_rng(70)
+        t = np.arange(696) / 16000.0
+        return [np.zeros(696), rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
+                rng.uniform(-31.9, 31.9, 696), np.zeros(696),
+                0.15 * np.sin(2 * np.pi * 3000 * t), 0.06 * np.sin(2 * np.pi * 800 * t)]
+
+    def test_mixed_block_matches_each_segment_alone(self, bank):
+        config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
+        segments = self.segments()
+        block = [SegmentBuffer.from_samples(x, i) for i, x in enumerate(segments)]
+        flag = fx.SaturationFlag()
+        traces = [[] for _ in segments]
+        codes = fx._encode_block_fixed(block, bank, config, flag, traces)
+        assert {len(c) for c in codes} == {0, 5, 8}
+        assert flag  # the full-scale noise clips
+        for i, samples in enumerate(segments):
+            alone = SegmentBuffer.from_samples(samples, i)
+            full = SegmentBuffer.from_samples(samples, i)
+            trace, own = [], fx.SaturationFlag()
+            assert codes[i] == fx.encode_segment_fixed(alone, bank, config, trace, own)
+            assert codes[i] == full_recompute_fixed(full, bank, config)[0]
+            np.testing.assert_array_equal(block[i].data, alone.data)
+            np.testing.assert_array_equal(block[i].data, full.data)
+            assert traces[i] == trace and len(trace) == len(codes[i]) + 1
+            assert bool(own) == (i == 3)
+
+    @pytest.mark.parametrize("count", [1, encoder._BLOCK - 1, encoder._BLOCK,
+                                       encoder._BLOCK + 1, 2 * encoder._BLOCK + 1])
+    def test_stream_of_blocks(self, bank, count):
+        rng = np.random.default_rng(71)
+        samples = 0.4 * rng.uniform(-1, 1, count * 696 - 300)
+        config = EncoderConfig(sps=4, threshold=0.05, fixed=(5, 28))
+        per_segment = [code for buffer in encoder.segment_stream(samples, 696)
+                       for code in fx.encode_segment_fixed(buffer, bank, config)]
+        assert encoder.encode_stream(samples, bank, config) == per_segment
+
+    def test_thread_counts_give_identical_codes(self, bank, monkeypatch):
+        samples = np.concatenate(self.segments() * 3)[:-100]
+        config = EncoderConfig(sps=4, threshold=0.2, fixed=(5, 28))
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SPIKETRUM_THREADS", threads)
+            flag = fx.SaturationFlag()
+            runs.append((encoder.encode_stream(samples, bank, config, flag), bool(flag)))
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1]
 
 
 class TestParityHarness:
