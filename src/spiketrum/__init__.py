@@ -10,7 +10,6 @@ fixed-point emulation mode are all configurable.
 from .kernel_bank import (
     BankConfig,
     BankFormatError,
-    Kernel,
     KernelBank,
     build_bank,
     erb_center_frequencies,

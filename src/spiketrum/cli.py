@@ -111,10 +111,10 @@ def cmd_kernels(args):
     if args.dump:
         with open(args.dump, "w") as fh:
             fh.write("kernel,center_freq_hz,sample,amplitude\n")
-            for kernel in bank.kernels:
-                for i, value in enumerate(kernel.samples):
-                    fh.write(f"{kernel.index},{kernel.center_freq:.6f},"
-                             f"{i},{value:.9g}\n")
+            for m, (fc, samples) in enumerate(zip(bank.center_frequencies.tolist(),
+                                                  bank.samples_matrix.tolist())):
+                for i, value in enumerate(samples):
+                    fh.write(f"{m},{fc:.6f},{i},{value:.9g}\n")
     print(f"saved {bank.kernel_count} kernels to {args.output}")
     return 0
 

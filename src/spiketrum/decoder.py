@@ -73,7 +73,7 @@ def reconstruct_segment_window(codes, bank):
     offsets = np.arange(bank.kernel_length)
     for c in codes:
         idx = (c.tau % FFT_SIZE + offsets) % FFT_SIZE
-        out[idx] += c.s * bank.kernels[c.m].samples
+        out[idx] += c.s * bank.samples_matrix[c.m]
     return out
 
 

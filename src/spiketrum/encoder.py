@@ -192,13 +192,13 @@ def find_best_code(correlations, segment_index=0, iteration=0):
 
 
 def subtract_component(buffer, kernel, tau, s):
-    """Remove s times the kernel placed at circular lag tau, in place."""
+    """Remove s times kernel (a bank.samples_matrix row) at circular lag tau, in place."""
     if abs(tau) > MAX_SHIFT:
         raise ValueError(f"tau {tau} outside [{-MAX_SHIFT}, {MAX_SHIFT}]")
     start = tau % FFT_SIZE
-    head = min(len(kernel.samples), FFT_SIZE - start)  # taps before the wrap
-    buffer.data[start:start + head] -= s * kernel.samples[:head]
-    buffer.data[:len(kernel.samples) - head] -= s * kernel.samples[head:]
+    head = min(len(kernel), FFT_SIZE - start)  # taps before the wrap
+    buffer.data[start:start + head] -= s * kernel[:head]
+    buffer.data[:len(kernel) - head] -= s * kernel[head:]
     return buffer
 
 
@@ -352,7 +352,7 @@ def _encode_segment_direct(buffer, bank, config):
                               buffer.segment_index, iteration)
         if feedback_should_stop(code, config.threshold):
             break
-        subtract_component(buffer, bank.kernels[code.m], code.tau, code.s)
+        subtract_component(buffer, bank.samples_matrix[code.m], code.tau, code.s)
         codes.append(code)
     return codes
 

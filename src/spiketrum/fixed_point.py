@@ -11,10 +11,11 @@ done on raw integers. Splitting 34-bit operands at bit 17 keeps partial
 products below 2**50 and 1353-tap correlation partials below 2**46, exact
 in int64 and in float64 matrix products.
 
-The loop screens each row with one float64 correlation in raw units,
-S = irfft(rfft(raw) * conj(rfft(kernel_raw / 2**frac_bits))), clipped to
-the format, within delta = _SCREEN_ERROR * ||raw||_2 * max ||k_q||_2 of
-the exact value before rounding (k_q: the quantized kernels). Higham,
+The quantized kernels k_q = kernel_raw / 2**frac_bits are a KernelBank of
+their own, so the loop screens each row with the float engine
+(encoder.correlate_all_fft on that bank) in raw units, S = irfft(rfft(raw)
+* conj(rfft(k_q))), clipped to the format, within delta = _SCREEN_ERROR *
+||raw||_2 * max ||k_q||_2 of the exact value before rounding. Higham,
 Accuracy and Stability of Numerical Algorithms (2nd ed., SIAM 2002), ch.
 24, bounds a length-2048 FFT's relative error by about 11 * (1 + 4 *
 sqrt(2)) * 2**-53 = 8e-15; through three transforms, a product and the
@@ -42,20 +43,22 @@ the quantized kernels' cross-correlation peaks, the L1 term the q_mul
 product's rounding, the rest the screen's error before and after and the
 exact values' rounding. Clipping only shrinks differences; a subtraction
 whose product or residual clips is no longer s times a kernel, so its
-step is +inf. Codes and residual are bit-identical to an exact full
+step is +inf (a product clips where its saturated value differs from the
+rounded one). Codes and residual are bit-identical to an exact full
 recompute of each segment alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import _RowBounds, _circular_windows, _emit
-from .kernel_bank import FFT_SIZE, cross_peak_bound
+from .encoder import _RowBounds, _circular_windows, _emit, correlate_all_fft
+from .kernel_bank import FFT_SIZE, KernelBank
 
 _WIDTH = 34
 _SPLIT = 17  # low-half width for the bit-17 operand split
@@ -161,11 +164,13 @@ def q_add(a, b, fmt=Q5_28, flag=None):
     return _as_result(_saturate_int(total, fmt, flag), scalar)
 
 
-def _rne_combine(m, r0, fmt, flag):
-    """Round V = m * 2**17 + r0 (0 <= r0 < 2**17) to fmt, ties to even.
+def _rne_combine(m, r0, fmt):
+    """Round V = m * 2**17 + r0 (0 <= r0 < 2**17) to fmt's precision, ties
+    to even, without saturating.
 
     The split avoids materializing V, which can exceed int64 for 34x34-bit
-    products. Saturating cases are detected before any overflowing shift.
+    products. A result out of the format's range stays out of it (never
+    wrapped back in), so saturating the result afterwards is exact.
     """
     frac = fmt.frac_bits
     if frac >= _SPLIT:
@@ -179,25 +184,26 @@ def _rne_combine(m, r0, fmt, flag):
         q = (m << (_SPLIT - frac)) + (r0 >> frac)
         rem = r0 & ((1 << frac) - 1)
     half = 1 << (frac - 1)
-    q = q + (rem > half) + ((rem == half) & ((q & 1) == 1))
-    return _saturate_int(q, fmt, flag)
+    return q + (rem > half) + ((rem == half) & ((q & 1) == 1))
 
 
-def q_mul(a, b, fmt=Q5_28, flag=None):
-    """Saturating multiply: exact wide product, one rounding to fmt.
+def _rounded_product(a, b, fmt):
+    """Exact wide product of raw integers, rounded once to fmt, not saturated.
 
     Vectorized over int64 by splitting b at bit 17; both partial products
     stay below 2**50 so the arithmetic never overflows.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    b_hi = b >> _SPLIT
-    b_lo = b & _SPLIT_MASK
-    p_lo = a * b_lo
-    m = a * b_hi + (p_lo >> _SPLIT)
-    r0 = p_lo & _SPLIT_MASK
-    return _as_result(_rne_combine(m, r0, fmt, flag), scalar)
+    p_lo = a * (b & _SPLIT_MASK)
+    m = a * (b >> _SPLIT) + (p_lo >> _SPLIT)
+    return _rne_combine(m, p_lo & _SPLIT_MASK, fmt)
+
+
+def q_mul(a, b, fmt=Q5_28, flag=None):
+    """Saturating multiply: exact wide product, one rounding to fmt."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    return _as_result(_saturate_int(_rounded_product(a, b, fmt), fmt, flag), scalar)
 
 
 @dataclass(eq=False)
@@ -205,21 +211,21 @@ class _FixedTables:
     """Per-bank, per-format caches for the integer correlation."""
 
     kernel_raw: np.ndarray          # (kernels, L) int64
-    gemm_hi: np.ndarray             # (L, kernels) float64, high halves
-    gemm_lo: np.ndarray             # (L, kernels) float64, low halves
-    conj_spectra: np.ndarray        # (kernels, bins) conjugate spectra of the quantized kernels
-    peak_bound: np.ndarray          # (kernels, kernels) B_q of the quantized kernels
-    kernel_l1: np.ndarray           # (kernels,) L1 norms of the quantized kernels
-    kernel_length: int = field(init=False)
+    bank: KernelBank                # the quantized kernels, kernel_raw / 2**frac_bits
+    gemm_hi: np.ndarray = field(init=False)     # (L, kernels) float64, high halves
+    gemm_lo: np.ndarray = field(init=False)     # (L, kernels) float64, low halves
     kernel_norm: float = field(init=False)      # largest L2 norm of the quantized kernels
     step_floor: np.ndarray = field(init=False)  # (kernels,) _peak_step at s_raw = 0
 
     def __post_init__(self):
-        self.kernel_length = self.kernel_raw.shape[1]
-        self.kernel_norm = float(np.sqrt(np.max(np.diag(self.peak_bound))))
+        self.gemm_hi = np.ascontiguousarray((self.kernel_raw >> _SPLIT).T, dtype=np.float64)
+        self.gemm_lo = np.ascontiguousarray((self.kernel_raw & _SPLIT_MASK).T,
+                                            dtype=np.float64)
+        self.kernel_norm = float(np.sqrt(np.max(np.diag(self.bank.peak_bound))))
         largest = 2.0 ** (_WIDTH - 1) * np.sqrt(FFT_SIZE)  # ||raw||_2 at the format's limit
         delta_max = _SCREEN_ERROR * largest * self.kernel_norm
-        self.step_floor = 0.5 * self.kernel_l1 + (1.0 + 2.0 * delta_max)
+        kernel_l1 = np.abs(self.bank.samples_matrix).sum(axis=1)
+        self.step_floor = 0.5 * kernel_l1 + (1.0 + 2.0 * delta_max)
 
 
 _tables_lock = threading.Lock()
@@ -232,19 +238,9 @@ def _tables_for(bank, fmt):
         tables = per_bank.get(fmt)
         if tables is None:
             kernel_raw = to_fixed(bank.samples_matrix, fmt)
-            quantized = kernel_raw / fmt.scale  # exact: |kernel_raw| < 2**53
-            hi = (kernel_raw >> _SPLIT).astype(np.float64)
-            lo = (kernel_raw & _SPLIT_MASK).astype(np.float64)
-            conj_spectra = np.conj(np.fft.rfft(quantized, n=FFT_SIZE, axis=1))
-            tables = _FixedTables(
-                kernel_raw=kernel_raw,
-                gemm_hi=np.ascontiguousarray(hi.T),
-                gemm_lo=np.ascontiguousarray(lo.T),
-                conj_spectra=conj_spectra,
-                peak_bound=cross_peak_bound(conj_spectra),
-                kernel_l1=np.abs(quantized).sum(axis=1),
-            )
-            per_bank[fmt] = tables
+            # exact: |kernel_raw| < 2**53
+            quantized = dataclasses.replace(bank, samples_matrix=kernel_raw / fmt.scale)
+            tables = per_bank[fmt] = _FixedTables(kernel_raw, quantized)
         return tables
 
 
@@ -255,7 +251,7 @@ def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None
     the accumulator p_hh * 2**34 + p_x * 2**17 + p_ll, regrouped as
     m * 2**17 + r0 with every term below 2**60 in int64, is rounded once.
     """
-    length = tables.kernel_length
+    length = tables.bank.kernel_length
     gemm_hi, gemm_lo = tables.gemm_hi[:, rows], tables.gemm_lo[:, rows]
     w_hi = _circular_windows((raw_data >> _SPLIT).astype(np.float64), length, lags)
     w_lo = _circular_windows((raw_data & _SPLIT_MASK).astype(np.float64), length, lags)
@@ -263,7 +259,7 @@ def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None
     p_x = ((w_hi @ gemm_lo) + (w_lo @ gemm_hi)).astype(np.int64).T
     p_ll = (w_lo @ gemm_lo).astype(np.int64).T
     m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
-    return _rne_combine(m, p_ll & _SPLIT_MASK, fmt, None)
+    return _saturate_int(_rne_combine(m, p_ll & _SPLIT_MASK, fmt), fmt, None)
 
 
 def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
@@ -273,9 +269,7 @@ def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
     for all of them; prod and out are workspaces as for
     encoder.correlate_all_fft.
     """
-    np.take(tables.conj_spectra, rows, axis=0, out=prod, mode="clip")
-    screen = np.fft.irfft(np.multiply(spectrum, prod, out=prod), n=FFT_SIZE, axis=1,
-                          out=out)
+    screen = correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
     return np.clip(screen, fmt.raw_min, fmt.raw_max, out=screen)
 
 
@@ -313,7 +307,7 @@ def _peak_step(tables, m, s_raw):
     correlation bound, half a unit of product rounding per kernel tap, and
     the screen's error and the exact values' rounding.
     """
-    return abs(s_raw) * tables.peak_bound[m] + tables.step_floor
+    return abs(s_raw) * tables.bank.peak_bound[m] + tables.step_floor
 
 
 def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
@@ -338,11 +332,14 @@ def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
 
     traces, when given, holds one energy trace list (or None) per buffer.
     """
-    fmt = QFormat(*config.fixed) if config.fixed is not None else Q5_28
+    if config.fixed is None:
+        raise ValueError("the fixed-point datapath needs a format (config.fixed); "
+                         "encode_segment is the float datapath")
+    fmt = QFormat(*config.fixed)
     tables = _tables_for(bank, fmt)
     raw = to_fixed(np.array([buffer.data for buffer in buffers]), fmt, flag)
     threshold_raw = to_fixed(config.threshold, fmt)
-    offsets = np.arange(tables.kernel_length)
+    offsets = np.arange(bank.kernel_length)
     rows = _RowBounds(len(buffers), bank.kernel_count)
     codes = [[] for _ in buffers]
     traces = traces or [None] * len(buffers)
@@ -382,15 +379,11 @@ def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
         _emit(codes, buffers, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
         seg = np.arange(len(m))[:, None]
         idx = (u[:, None] + offsets) % FFT_SIZE
-        clipped = SaturationFlag()
-        product = q_mul(s_raw[:, None], tables.kernel_raw[m], fmt, clipped)
+        wide = _rounded_product(s_raw[:, None], tables.kernel_raw[m], fmt)
+        product = np.clip(wide, fmt.raw_min, fmt.raw_max)
         update = raw[seg, idx] - product
-        over = np.any((update < fmt.raw_min) | (update > fmt.raw_max), axis=1)
-        if clipped:  # some product saturated: find whose
-            for j in range(len(m)):
-                own = SaturationFlag()
-                q_mul(s_raw[j], tables.kernel_raw[m[j]], fmt, own)
-                over[j] |= own.seen
+        over = np.any((product != wide) | (update < fmt.raw_min) | (update > fmt.raw_max),
+                      axis=1)
         raw[seg, idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
         if flag is not None and over.any():
             flag.seen = True

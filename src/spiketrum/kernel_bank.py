@@ -5,6 +5,10 @@ kernels whose center frequencies are spaced uniformly on the ERB-rate
 scale. Each kernel is 1353 samples long at 16 kHz; correlation happens
 in a 2048-sample window, so a 696-sample segment plus the kernel tail
 exactly fills the window (2048 = 696 + 1353 - 1).
+
+A bank is its arrays: a (kernels, taps) waveform matrix and the center
+frequencies, plus the spectra and bounds derived from them on
+construction. Every consumer reads matrix rows.
 """
 
 from __future__ import annotations
@@ -131,15 +135,6 @@ def generate_gammatone(fc, fs=DEFAULT_SAMPLE_RATE, length=DEFAULT_KERNEL_LENGTH,
     return g / np.linalg.norm(g)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """One dictionary entry: its index, center frequency and waveform."""
-
-    index: int
-    center_freq: float
-    samples: np.ndarray
-
-
 @dataclass
 class BankConfig:
     """Generation parameters for a kernel bank."""
@@ -154,50 +149,55 @@ class BankConfig:
 
 @dataclass(eq=False)
 class KernelBank:
-    """Immutable ordered collection of kernels with batched-access caches.
+    """The kernel dictionary as arrays, one row per kernel.
 
-    ``samples_matrix`` stacks the waveforms, one row per kernel.
-    ``conj_spectra`` holds the conjugated nonnegative-frequency half of
-    each row's 2048-point transform, zero-padded (the waveforms are real,
-    so the negative half is redundant by conjugate symmetry).
-    ``peak_bound[m, n]`` bounds the peak over all lags of the circular
-    cross-correlation of kernels m and n (see :func:`cross_peak_bound`).
-    The float encoder prunes its correlation refresh with it. Treat as
+    ``samples_matrix`` holds the waveforms (kernels x taps: at least one
+    kernel, at most FFT_SIZE taps) and ``center_frequencies`` their center
+    frequencies in Hz. ``conj_spectra`` holds the conjugated
+    nonnegative-frequency half of each row's 2048-point transform,
+    zero-padded (the waveforms are real, so the negative half is redundant
+    by conjugate symmetry). ``peak_bound[m, n]`` bounds the peak over all
+    lags of the circular cross-correlation of kernels m and n (see
+    :func:`cross_peak_bound`); both pursuit loops prune with it. Treat as
     read-only after construction; encoders on any number of threads may
     share one bank.
     """
 
-    kernels: list[Kernel]
+    samples_matrix: np.ndarray = field(repr=False)
+    center_frequencies: np.ndarray = field(repr=False)
     sample_rate: float = DEFAULT_SAMPLE_RATE
     fmin: float = DEFAULT_FMIN
     fmax: float = DEFAULT_FMAX
     order: int = DEFAULT_ORDER
-    samples_matrix: np.ndarray = field(init=False, repr=False)
     conj_spectra: np.ndarray = field(init=False, repr=False)
     peak_bound: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.samples_matrix = np.stack([k.samples for k in self.kernels])
+        _check_shape(*self.samples_matrix.shape)
         self.conj_spectra = np.conj(
             np.fft.rfft(self.samples_matrix, n=FFT_SIZE, axis=1))
         self.peak_bound = cross_peak_bound(self.conj_spectra)
 
     @property
     def kernel_count(self):
-        return len(self.kernels)
+        return len(self.samples_matrix)  # not .shape[0]: decode reads it once per event
 
     @property
     def kernel_length(self):
-        return len(self.kernels[0].samples)
+        return self.samples_matrix.shape[1]
 
     @property
     def segment_length(self):
         """Samples consumed per analysis window (window minus kernel tail)."""
         return FFT_SIZE - self.kernel_length + 1
 
-    @property
-    def center_frequencies(self):
-        return np.array([k.center_freq for k in self.kernels])
+
+def _check_shape(count, length):
+    """Reject a bank of no kernels, or of kernels outside [1, FFT_SIZE] taps."""
+    if count < 1:
+        raise ValueError(f"a bank needs at least one kernel, got {count}")
+    if not 1 <= length <= FFT_SIZE:
+        raise ValueError(f"kernel length {length} outside [1, {FFT_SIZE}]")
 
 
 def cross_peak_bound(spectra):
@@ -236,16 +236,16 @@ def build_bank(config=None):
     if cfg.fmax > cfg.sample_rate / 2.0:
         raise ValueError(
             f"fmax {cfg.fmax} Hz exceeds Nyquist {cfg.sample_rate / 2.0} Hz")
-    if cfg.kernel_length > FFT_SIZE:
-        raise ValueError(
-            f"kernel length {cfg.kernel_length} exceeds window size {FFT_SIZE}")
+    _check_shape(cfg.kernel_count, cfg.kernel_length)  # before generating any taps
     freqs = erb_center_frequencies(cfg.kernel_count, cfg.fmin, cfg.fmax)
-    kernels = [
-        Kernel(i, float(fc), generate_gammatone(
-            fc, cfg.sample_rate, cfg.kernel_length, cfg.order))
-        for i, fc in enumerate(freqs)
-    ]
-    return KernelBank(kernels, cfg.sample_rate, cfg.fmin, cfg.fmax, cfg.order)
+    samples = np.array([generate_gammatone(fc, cfg.sample_rate, cfg.kernel_length,
+                                           cfg.order) for fc in freqs])
+    return KernelBank(samples, freqs, cfg.sample_rate, cfg.fmin, cfg.fmax, cfg.order)
+
+
+def _record_dtype(length):
+    """One kernel record of the bank file: its center frequency, then its taps."""
+    return np.dtype([("fc", "<f8"), ("samples", "<f8", (length,))])
 
 
 def save_bank(bank, path):
@@ -256,13 +256,14 @@ def save_bank(bank, path):
     then per kernel one f64 center frequency followed by the f64 samples.
     Spectra are not stored; they are recomputed on load.
     """
+    records = np.empty(bank.kernel_count, _record_dtype(bank.kernel_length))
+    records["fc"] = bank.center_frequencies
+    records["samples"] = bank.samples_matrix
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_BANK_MAGIC, _BANK_VERSION, bank.kernel_count,
                               bank.kernel_length, bank.sample_rate,
                               bank.fmin, bank.fmax, bank.order))
-        for kernel in bank.kernels:
-            fh.write(struct.pack("<d", kernel.center_freq))
-            fh.write(kernel.samples.astype("<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def load_bank(path):
@@ -271,8 +272,9 @@ def load_bank(path):
     Raises
     ------
     BankFormatError
-        On wrong magic, unsupported version, or truncation; the message
-        names the failing byte offset.
+        On wrong magic, unsupported version, a kernel count or length the
+        bank rejects, truncation, or trailing bytes; the message names the
+        failing byte offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -284,20 +286,22 @@ def load_bank(path):
     magic, version, count, length, rate, fmin, fmax, order = _HEADER.unpack_from(blob)
     if version != _BANK_VERSION:
         raise BankFormatError(f"unsupported version {version} at offset 4")
+    try:
+        _check_shape(count, length)
+    except ValueError as exc:
+        name, at = ("count", 8) if count < 1 else ("length", 12)
+        raise BankFormatError(f"bad bank header at offset {at} (kernel {name}): "
+                              f"{exc}") from exc
     offset = _HEADER.size
     record = 8 + 8 * length
-    kernels = []
-    for i in range(count):
-        if offset + record > len(blob):
-            raise BankFormatError(
-                f"truncated kernel {i}: need {record} bytes at offset {offset}, "
-                f"file has {len(blob) - offset}")
-        (fc,) = struct.unpack_from("<d", blob, offset)
-        samples = np.frombuffer(blob, dtype="<f8", count=length,
-                                offset=offset + 8).copy()
-        kernels.append(Kernel(i, fc, samples))
-        offset += record
-    if offset != len(blob):
-        raise BankFormatError(
-            f"{len(blob) - offset} trailing bytes at offset {offset}")
-    return KernelBank(kernels, rate, fmin, fmax, order)
+    end = offset + count * record
+    if end > len(blob):
+        i = (len(blob) - offset) // record  # the first kernel cut short
+        at = offset + i * record
+        raise BankFormatError(f"truncated kernel {i}: need {record} bytes at offset {at}, "
+                              f"file has {len(blob) - at}")
+    if end != len(blob):
+        raise BankFormatError(f"{len(blob) - end} trailing bytes at offset {end}")
+    records = np.frombuffer(blob, _record_dtype(length), count, offset)
+    return KernelBank(records["samples"].copy(), records["fc"].copy(),
+                      rate, fmin, fmax, order)

@@ -251,6 +251,18 @@ class TestKernels:
         cli.main(["encode", noise_wav, "-o", str(b), "--bank", str(bank_file)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_malformed_bank_header_named(self, noise_wav, tmp_path, capsys):
+        bank_file = tmp_path / "empty.spkb"
+        cli.main(["kernels", "-o", str(bank_file)])
+        blob = bytearray(bank_file.read_bytes()[:44])
+        blob[8:12] = bytes(4)  # kernel count 0, no kernel records
+        bank_file.write_bytes(bytes(blob))
+        rc = cli.main(["encode", noise_wav, "-o", str(tmp_path / "a.txt"),
+                       "--bank", str(bank_file)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: bad bank header at offset 8 (kernel count): ")
+
     def test_dump_csv(self, tmp_path):
         out = tmp_path / "bank.spkb"
         dump = tmp_path / "kernels.csv"

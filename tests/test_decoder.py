@@ -23,7 +23,7 @@ class TestReconstructFromCodes:
         code = Code(m=7, tau=100, s=0.5, segment_index=0)
         out = decoder.reconstruct_from_codes([code], bank, 2048)
         np.testing.assert_allclose(out[100:100 + 1353],
-                                   0.5 * bank.kernels[7].samples, atol=1e-15)
+                                   0.5 * bank.samples_matrix[7], atol=1e-15)
         assert np.all(out[:100] == 0.0)
         assert np.all(out[100 + 1353:] == 0.0)
 
@@ -32,25 +32,25 @@ class TestReconstructFromCodes:
         out = decoder.reconstruct_from_codes([code], bank, 4000)
         start = 2 * 696 + 10
         np.testing.assert_allclose(out[start:start + 1353][:2000],
-                                   bank.kernels[0].samples[:4000 - start][:2000],
+                                   bank.samples_matrix[0][:4000 - start][:2000],
                                    atol=1e-15)
 
     def test_negative_tau_clips_head(self, bank):
         code = Code(m=3, tau=-50, s=1.0, segment_index=0)
         out = decoder.reconstruct_from_codes([code], bank, 2048)
         np.testing.assert_allclose(out[:1353 - 50],
-                                   bank.kernels[3].samples[50:], atol=1e-15)
+                                   bank.samples_matrix[3][50:], atol=1e-15)
 
     def test_tail_past_length_dropped(self, bank):
         code = Code(m=3, tau=0, s=1.0, segment_index=0)
         out = decoder.reconstruct_from_codes([code], bank, 100)
-        np.testing.assert_allclose(out, bank.kernels[3].samples[:100], atol=1e-15)
+        np.testing.assert_allclose(out, bank.samples_matrix[3][:100], atol=1e-15)
 
     def test_overlapping_codes_sum(self, bank):
         codes = [Code(m=5, tau=0, s=1.0, segment_index=0),
                  Code(m=5, tau=0, s=0.5, segment_index=0)]
         out = decoder.reconstruct_from_codes(codes, bank, 2048)
-        np.testing.assert_allclose(out[:1353], 1.5 * bank.kernels[5].samples,
+        np.testing.assert_allclose(out[:1353], 1.5 * bank.samples_matrix[5],
                                    atol=1e-15)
 
     def test_bad_kernel_index(self, bank):
@@ -63,14 +63,14 @@ class TestReconstructFromSpikes:
         out = decoder.reconstruct_from_spikes(train([2188], [22]), bank,
                                               channel_map, 4000)
         np.testing.assert_allclose(out[2188:2188 + 1353],
-                                   0.4115 * bank.kernels[7].samples, atol=1e-15)
+                                   0.4115 * bank.samples_matrix[7], atol=1e-15)
         assert np.all(out[:2188] == 0.0)
         assert np.all(out[2188 + 1353:] == 0.0)
 
     def test_channel_zero(self, bank, channel_map):
         out = decoder.reconstruct_from_spikes(train([0], [0]), bank,
                                               channel_map, 1353)
-        np.testing.assert_allclose(out, 0.0065 * bank.kernels[0].samples,
+        np.testing.assert_allclose(out, 0.0065 * bank.samples_matrix[0],
                                    atol=1e-15)
 
     def test_empty(self, bank, channel_map):

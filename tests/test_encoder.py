@@ -17,7 +17,7 @@ def place_kernel(bank, m, start, scale, buffer_len=enc.FFT_SIZE):
     """Buffer containing scale * kernel m at the given circular slot."""
     buf = enc.SegmentBuffer(np.zeros(buffer_len), 0, 0)
     idx = (start + np.arange(bank.kernel_length)) % buffer_len
-    buf.data[idx] += scale * bank.kernels[m].samples
+    buf.data[idx] += scale * bank.samples_matrix[m]
     return buf
 
 
@@ -64,18 +64,18 @@ class TestCorrelate:
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
         buf.data[:696] = rng.uniform(-1, 1, 696)
         np.testing.assert_allclose(enc.correlate_all_direct(buf, bank)[13],
-                                   brute_correlate(buf.data, bank.kernels[13].samples),
+                                   brute_correlate(buf.data, bank.samples_matrix[13]),
                                    atol=1e-12)
 
     def test_impulse_sifts_kernel(self, bank):
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 1)
         buf.data[0] = 1.0
-        kernel = bank.kernels[20]
+        kernel = bank.samples_matrix[20]
         r = enc.correlate_all_direct(buf, bank)[20]
         # r[u] picks out kernel[(-u) mod 2048] where that index exists
-        assert r[0] == kernel.samples[0]
-        assert r[2047] == kernel.samples[1]
-        assert r[2048 - 1352] == kernel.samples[1352]
+        assert r[0] == kernel[0]
+        assert r[2047] == kernel[1]
+        assert r[2048 - 1352] == kernel[1352]
         assert r[2048 - 1353] == 0.0
 
     def test_placed_kernel_peaks_at_slot(self, bank):
@@ -105,7 +105,7 @@ class TestCorrelate:
         all_fft = enc.correlate_all_fft(buf, bank)
         assert all_direct.shape == all_fft.shape == (40, 2048)
         for m in (0, 9, 39):
-            single = brute_correlate(buf.data, bank.kernels[m].samples)
+            single = brute_correlate(buf.data, bank.samples_matrix[m])
             np.testing.assert_allclose(all_direct[m], single, atol=1e-12)
             np.testing.assert_allclose(all_fft[m], single, atol=1e-12)
 
@@ -149,7 +149,7 @@ class TestFindBestCode:
     def test_larger_component_wins(self, bank):
         buf = place_kernel(bank, 3, 0, 0.8)
         idx = (300 + np.arange(bank.kernel_length)) % 2048
-        buf.data[idx] += 0.2 * bank.kernels[30].samples
+        buf.data[idx] += 0.2 * bank.samples_matrix[30]
         code = enc.find_best_code(enc.correlate_all_fft(buf, bank))
         assert code.m == 3
 
@@ -158,8 +158,8 @@ class TestFindBestCode:
         for _ in range(3):
             buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
             buf.data[:696] = rng.uniform(-1, 1, 696)
-            brute = np.stack([brute_correlate(buf.data, k.samples)
-                              for k in bank.kernels])
+            brute = np.stack([brute_correlate(buf.data, k)
+                              for k in bank.samples_matrix])
             best = np.max(np.abs(brute))
             code = enc.find_best_code(enc.correlate_all_fft(buf, bank))
             assert abs(abs(code.s) - best) < 1e-9
@@ -168,14 +168,14 @@ class TestFindBestCode:
 class TestSubtractComponent:
     def test_exact_cancellation(self, bank):
         buf = place_kernel(bank, 5, 100, 0.7)
-        enc.subtract_component(buf, bank.kernels[5], 100, 0.7)
+        enc.subtract_component(buf, bank.samples_matrix[5], 100, 0.7)
         assert float(buf.data @ buf.data) < 1e-12
 
     def test_zero_scale_is_noop(self, bank):
         rng = np.random.default_rng(14)
         buf = enc.SegmentBuffer(rng.uniform(-1, 1, 2048), 0, 696)
         before = buf.data.copy()
-        enc.subtract_component(buf, bank.kernels[0], 50, 0.0)
+        enc.subtract_component(buf, bank.samples_matrix[0], 50, 0.0)
         np.testing.assert_array_equal(buf.data, before)
 
     def test_energy_identity_single_step(self, bank):
@@ -184,21 +184,21 @@ class TestSubtractComponent:
         buf.data[:696] = rng.uniform(-1, 1, 696)
         energy = float(buf.data @ buf.data)
         code = enc.find_best_code(enc.correlate_all_fft(buf, bank))
-        enc.subtract_component(buf, bank.kernels[code.m], code.tau, code.s)
+        enc.subtract_component(buf, bank.samples_matrix[code.m], code.tau, code.s)
         new_energy = float(buf.data @ buf.data)
         assert abs(new_energy - (energy - code.s ** 2)) <= 1e-9 * energy
 
     def test_negative_tau_wraps(self, bank):
         buf = place_kernel(bank, 9, -50 % 2048, 0.3)
-        enc.subtract_component(buf, bank.kernels[9], -50, 0.3)
+        enc.subtract_component(buf, bank.samples_matrix[9], -50, 0.3)
         assert float(buf.data @ buf.data) < 1e-12
 
     def test_tau_out_of_range(self, bank):
         buf = enc.SegmentBuffer(np.zeros(2048), 0, 0)
         with pytest.raises(ValueError):
-            enc.subtract_component(buf, bank.kernels[0], 1500, 1.0)
+            enc.subtract_component(buf, bank.samples_matrix[0], 1500, 1.0)
         with pytest.raises(ValueError):
-            enc.subtract_component(buf, bank.kernels[0], -1025, 1.0)
+            enc.subtract_component(buf, bank.samples_matrix[0], -1025, 1.0)
 
 
 class TestFeedback:
@@ -278,7 +278,7 @@ def full_recompute(buffer, bank, config):
                                   buffer.segment_index, iteration)
         if enc.feedback_should_stop(code, config.threshold):
             break
-        enc.subtract_component(buffer, bank.kernels[code.m], code.tau, code.s)
+        enc.subtract_component(buffer, bank.samples_matrix[code.m], code.tau, code.s)
         codes.append(code)
     return codes
 

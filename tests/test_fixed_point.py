@@ -5,6 +5,7 @@ plain Python integers, unbounded width, floor divmod and an explicit
 ties-to-even rule. Every primitive is checked against it.
 """
 
+import dataclasses
 import hashlib
 import re
 
@@ -173,7 +174,7 @@ class TestCorrelateFixed:
         raw_data = fx.to_fixed(buf.data)
         r = fx._correlate_raw_gemm(raw_data, fx._tables_for(bank, fx.Q5_28),
                                    fx.Q5_28)[13]
-        raw_kernel = fx.to_fixed(bank.kernels[13].samples)
+        raw_kernel = fx.to_fixed(bank.samples_matrix[13])
         length = len(raw_kernel)
         for u in range(0, FFT_SIZE, 137):
             acc = sum(int(raw_data[(u + t) % FFT_SIZE]) * int(raw_kernel[t])
@@ -329,6 +330,14 @@ class TestEncodeSegmentFixed:
             fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
                                     EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
 
+    def test_float_config_is_an_error(self, bank):
+        # without config.fixed there is no format: no silent Q5.28, whose
+        # range this threshold is outside
+        samples = np.random.default_rng(59).uniform(-31.9, 31.9, 696)
+        with pytest.raises(ValueError, match=re.escape("needs a format (config.fixed)")):
+            fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
+                                    EncoderConfig(sps=4, threshold=100.0))
+
     def test_zero_buffer_with_threshold(self, bank):
         buf = SegmentBuffer(np.zeros(2048), 0, 0)
         config = EncoderConfig(sps=16, threshold=0.01, path="direct",
@@ -338,7 +347,7 @@ class TestEncodeSegmentFixed:
     def test_recovers_placed_component(self, bank):
         buf = SegmentBuffer(np.zeros(2048), 0, 696)
         idx = (100 + np.arange(bank.kernel_length)) % 2048
-        buf.data[idx] += 0.5 * bank.kernels[7].samples
+        buf.data[idx] += 0.5 * bank.samples_matrix[7]
         config = EncoderConfig(sps=1, path="direct", fixed=(5, 28))
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert len(codes) == 1
@@ -387,7 +396,7 @@ class TestEncodeSegmentFixed:
         # 40 times a unit-norm kernel correlates to 40, past Q5.28's top,
         # while its samples and the subtraction stay far inside the range
         buf = SegmentBuffer(np.zeros(2048), 0, 696)
-        buf.data[100:100 + bank.kernel_length] = 40.0 * bank.kernels[7].samples
+        buf.data[100:100 + bank.kernel_length] = 40.0 * bank.samples_matrix[7]
         assert np.max(np.abs(buf.data)) < 16.0
         flag = fx.SaturationFlag()
         codes = fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=1, fixed=(5, 28)),
@@ -413,7 +422,7 @@ def full_recompute_fixed(buffer, bank, config):
     tables = fx._tables_for(bank, fmt)
     raw = fx.to_fixed(buffer.data, fmt)
     threshold_raw = fx.to_fixed(config.threshold, fmt)
-    offsets = np.arange(tables.kernel_length)
+    offsets = np.arange(bank.kernel_length)
     codes = []
     clips = 0
     for iteration in range(config.sps):
@@ -534,7 +543,7 @@ class TestPrunedRefreshFixed:
         spectra = np.fft.rfft(tables.kernel_raw / fx.Q5_28.scale, n=FFT_SIZE, axis=1)
         for m in range(bank.kernel_count):
             cross = np.fft.irfft(spectra[m] * np.conj(spectra), n=FFT_SIZE, axis=1)
-            assert np.all(tables.peak_bound[m] >= np.max(np.abs(cross), axis=1))
+            assert np.all(tables.bank.peak_bound[m] >= np.max(np.abs(cross), axis=1))
 
     def test_step_bounds_the_change_of_every_row(self, bank):
         # Over all 1600 kernel pairs (m, n): subtracting a product within half
@@ -545,7 +554,7 @@ class TestPrunedRefreshFixed:
         rng = np.random.default_rng(65)
         raw = fx.to_fixed(np.pad(0.5 * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)))
         before = fx._correlate_raw_gemm(raw, tables, fmt)
-        offsets = np.arange(tables.kernel_length)
+        offsets = np.arange(bank.kernel_length)
         # s = 0.5: s_raw times an odd tap lies exactly between two integers,
         # so either neighbour is a valid product there
         tie_s_raw = 1 << (fmt.frac_bits - 1)
@@ -616,6 +625,34 @@ class TestBlockPursuitFixed:
             np.testing.assert_array_equal(block[i].data, full.data)
             assert traces[i] == trace and len(trace) == len(codes[i]) + 1
             assert bool(own) == (i == 3)
+
+    @pytest.mark.parametrize("sps", [1, 2])
+    def test_saturated_products_in_a_mixed_block(self, bank, sps):
+        # Six times the bank: kernel 30 placed at amplitude 5 correlates to 30,
+        # inside Q5.28, but 30 times the scaled kernel's largest tap (1.9)
+        # saturates the product, while the residual stays in range. At sps 1
+        # only the product check can flag the loud segment.
+        loud = dataclasses.replace(bank, samples_matrix=6 * bank.samples_matrix)
+        rng = np.random.default_rng(72)
+        quiet = [np.pad(a * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)) for a in (0.01, 0.02)]
+        placed = np.zeros(FFT_SIZE)
+        placed[200:200 + bank.kernel_length] = 5 * bank.samples_matrix[30]
+        segments = [quiet[0], placed, quiet[1]]
+        config = EncoderConfig(sps=sps, fixed=(5, 28))
+        block = [SegmentBuffer(x.copy(), i, 696) for i, x in enumerate(segments)]
+        flag = fx.SaturationFlag()
+        codes = fx._encode_block_fixed(block, loud, config, flag)
+        assert (codes[1][0].m, codes[1][0].tau, codes[1][0].s) == (30, 200, 30.0)
+        assert flag
+        for i, x in enumerate(segments):
+            alone, full = SegmentBuffer(x.copy(), i, 696), SegmentBuffer(x.copy(), i, 696)
+            own = fx.SaturationFlag()
+            assert codes[i] == fx.encode_segment_fixed(alone, loud, config, flag=own)
+            want, clips = full_recompute_fixed(full, loud, config)
+            assert codes[i] == want
+            np.testing.assert_array_equal(block[i].data, alone.data)
+            np.testing.assert_array_equal(block[i].data, full.data)
+            assert bool(own) == (clips > 0) == (i == 1)
 
     @pytest.mark.parametrize("count", [1, encoder._BLOCK - 1, encoder._BLOCK,
                                        encoder._BLOCK + 1, 2 * encoder._BLOCK + 1])

@@ -1,9 +1,29 @@
 """Kernel dictionary: ERB spacing, gammatone shapes, file round trips."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from spiketrum import kernel_bank as kb
+
+
+def struct_bank_bytes(bank):
+    """The .spkb layout written field by field with struct, one kernel at a time."""
+    parts = [struct.pack("<4sIII d d d I", b"SPKB", 1, bank.kernel_count,
+                         bank.kernel_length, bank.sample_rate, bank.fmin, bank.fmax,
+                         bank.order)]
+    for fc, samples in zip(bank.center_frequencies.tolist(), bank.samples_matrix.tolist()):
+        parts.append(struct.pack("<d", fc))
+        parts.append(struct.pack(f"<{len(samples)}d", *samples))
+    return b"".join(parts)
+
+
+def header_only(count, length):
+    """A .spkb header declaring count kernels of length taps, default rate and range."""
+    return struct.pack("<4sIII d d d I", b"SPKB", 1, count, length, 16000.0, 20.0,
+                       8000.0, 4)
 
 
 class TestErbCenterFrequencies:
@@ -89,21 +109,27 @@ class TestBuildBank:
 
     def test_spectrum_cache_consistency(self, bank):
         assert bank.conj_spectra.shape == (bank.kernel_count, kb.FFT_SIZE // 2 + 1)
-        for kernel, conj_spectrum in zip(bank.kernels, bank.conj_spectra):
-            recomputed = np.fft.rfft(kernel.samples, n=kb.FFT_SIZE)
+        for kernel, conj_spectrum in zip(bank.samples_matrix, bank.conj_spectra):
+            recomputed = np.fft.rfft(kernel, n=kb.FFT_SIZE)
             np.testing.assert_allclose(conj_spectrum, np.conj(recomputed), atol=1e-12)
 
     def test_deterministic_rebuild(self, bank):
         other = kb.build_bank()
-        for a, b in zip(bank.kernels, other.kernels):
-            assert a.center_freq == b.center_freq
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(bank.center_frequencies, other.center_frequencies)
+        assert np.array_equal(bank.samples_matrix, other.samples_matrix)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             kb.build_bank(kb.BankConfig(fmax=9000.0))
         with pytest.raises(ValueError):
             kb.build_bank(kb.BankConfig(kernel_length=4096))
+
+    def test_bank_checks_its_shape(self, bank):
+        with pytest.raises(ValueError, match="at least one kernel"):
+            kb.KernelBank(np.zeros((0, 1353)), np.zeros(0))
+        for length in (0, kb.FFT_SIZE + 1):
+            with pytest.raises(ValueError, match=f"kernel length {length} outside"):
+                kb.KernelBank(np.zeros((2, length)), np.array([100.0, 200.0]))
 
 
 class TestBankFile:
@@ -115,9 +141,8 @@ class TestBankFile:
         assert loaded.fmin == bank.fmin
         assert loaded.fmax == bank.fmax
         assert loaded.order == bank.order
-        for a, b in zip(bank.kernels, loaded.kernels):
-            assert a.center_freq == b.center_freq
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(loaded.center_frequencies, bank.center_frequencies)
+        assert np.array_equal(loaded.samples_matrix, bank.samples_matrix)
 
     def test_rewrite_is_byte_identical(self, bank, tmp_path):
         first = tmp_path / "a.spkb"
@@ -147,6 +172,37 @@ class TestBankFile:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(kb.BankFormatError, match="offset"):
+            kb.load_bank(path)
+
+    @pytest.mark.parametrize("config", [None, kb.BankConfig(kernel_count=3, kernel_length=5)])
+    def test_bytes_match_a_struct_writer(self, config, tmp_path):
+        bank = kb.build_bank(config)
+        path = tmp_path / "bank.spkb"
+        kb.save_bank(bank, path)
+        assert path.read_bytes() == struct_bank_bytes(bank)
+
+    def test_truncation_inside_a_kernel_names_it(self, bank, tmp_path):
+        # header 44 bytes, then 40 records of 8 + 8 * 1353 = 10832 bytes
+        path = tmp_path / "cut.spkb"
+        kb.save_bank(bank, path)
+        path.write_bytes(path.read_bytes()[:44 + 20 * 10832 + 100])
+        message = "truncated kernel 20: need 10832 bytes at offset 216684, file has 100"
+        with pytest.raises(kb.BankFormatError, match=f"^{re.escape(message)}$"):
+            kb.load_bank(path)
+
+    def test_header_without_kernels_rejected(self, tmp_path):
+        path = tmp_path / "empty.spkb"
+        path.write_bytes(header_only(0, 1353))
+        with pytest.raises(kb.BankFormatError,
+                           match=re.escape("offset 8 (kernel count)")):
+            kb.load_bank(path)
+
+    def test_header_with_kernels_longer_than_the_window_rejected(self, tmp_path):
+        path = tmp_path / "long.spkb"
+        path.write_bytes(header_only(2, 3000) + bytes(2 * (8 + 8 * 3000)))
+        with pytest.raises(kb.BankFormatError,
+                           match=re.escape("offset 12 (kernel length): kernel length "
+                                           "3000 outside [1, 2048]")):
             kb.load_bank(path)
 
     def test_trailing_bytes_rejected(self, bank, tmp_path):
