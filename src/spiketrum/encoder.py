@@ -1,12 +1,14 @@
 """Greedy matching pursuit over the kernel dictionary.
 
-The input stream is cut into disjoint 696-sample segments. Each segment
-is loaded into a 2048-sample working buffer (zeros past the segment) and
-decomposed greedily: correlate the buffer against all kernels at all
-circular lags, take the strongest response as a code (m, tau, s), subtract
-s times the shifted kernel from the buffer, repeat. The spike rate knob is
-simply the number of iterations allowed per segment, and an optional
-feedback threshold stops early once responses become negligible.
+The input stream is cut into disjoint 696-sample segments, each one row
+of a (segments, 2048) window array (zeros past the segment), cut block
+by block so that memory does not grow with the input. Each row is
+decomposed greedily: correlate it against all kernels at all circular
+lags, take the strongest response as a code (m, tau, s), subtract s
+times the shifted kernel from the row, repeat; the row ends up holding
+the residual. The spike rate knob is simply the number of iterations
+allowed per segment, and an optional feedback threshold stops early once
+responses become negligible.
 
 Correlation is circular over the 2048 window, which makes each subtraction
 an exact orthogonal projection: the residual energy drops by s**2 per
@@ -64,17 +66,14 @@ class SegmentBuffer:
 
     data: np.ndarray
     segment_index: int = 0
-    valid_samples: int = 0
 
     @classmethod
-    def from_samples(cls, samples, segment_index=0, buffer_len=FFT_SIZE):
-        """Load up to ``buffer_len`` samples into a fresh zero-padded buffer."""
+    def from_samples(cls, samples, segment_index=0):
+        """Load up to 2048 samples into a fresh zero-padded buffer."""
         samples = np.asarray(samples, dtype=np.float64)
-        if len(samples) > buffer_len:
-            raise ValueError(f"{len(samples)} samples exceed buffer ({buffer_len})")
-        data = np.zeros(buffer_len)
-        data[: len(samples)] = samples
-        return cls(data, segment_index, len(samples))
+        if len(samples) > FFT_SIZE:
+            raise ValueError(f"{len(samples)} samples exceed buffer ({FFT_SIZE})")
+        return cls(np.pad(samples, (0, FFT_SIZE - len(samples))), segment_index)
 
 
 @dataclass(frozen=True)
@@ -121,21 +120,20 @@ class EncoderConfig:
                                  f"[{fmt.raw_min / fmt.scale}, {fmt.raw_max / fmt.scale}]")
 
 
-def segment_stream(samples, segment_len, buffer_len=FFT_SIZE):
-    """Cut a sample stream into zero-padded working buffers.
+def segment_stream(samples, segment_len):
+    """Cut a sample stream into zero-padded 2048-sample windows.
 
-    Returns ceil(len / segment_len) buffers; the last one is zero-padded
-    and records how many samples were real. Empty input gives no buffers.
+    Returns a (ceil(len / segment_len), 2048) float64 array whose row i
+    holds segment i, zeros past its end. Empty input gives 0 rows.
     """
-    if segment_len < 1 or segment_len > buffer_len:
-        raise ValueError(f"segment length {segment_len} outside [1, {buffer_len}]")
+    if segment_len < 1 or segment_len > FFT_SIZE:
+        raise ValueError(f"segment length {segment_len} outside [1, {FFT_SIZE}]")
     samples = np.asarray(samples, dtype=np.float64)
-    buffers = []
-    for i in range(0, len(samples), segment_len):
-        chunk = samples[i:i + segment_len]
-        buffers.append(SegmentBuffer.from_samples(
-            chunk, segment_index=i // segment_len, buffer_len=buffer_len))
-    return buffers
+    full, tail = divmod(len(samples), segment_len)
+    windows = np.zeros((full + (tail > 0), FFT_SIZE))
+    windows[:full, :segment_len] = samples[:full * segment_len].reshape(full, segment_len)
+    windows[full:, :tail] = samples[full * segment_len:]
+    return windows
 
 
 def _circular_windows(data, length, lags=slice(None)):
@@ -215,25 +213,29 @@ def encode_segment(buffer, bank, config):
     returned code satisfies |s| >= threshold. A one-buffer block of the
     lockstep pursuit (see the module docstring) on the FFT path; the
     direct path recomputes every row every iteration and is the oracle
-    the FFT path is checked against.
+    the FFT path is checked against. A fixed-point config is an error.
     """
-    return _encode_block([buffer], bank, config)[0]
+    if config.fixed is not None:
+        raise ValueError("encode_segment is the float datapath; a fixed-point config "
+                         "(config.fixed) needs fixed_point.encode_segment_fixed")
+    return _encode_block(buffer.data[None], buffer.segment_index, bank, config)[0]
 
 
-def _encode_block(buffers, bank, config):
-    """Pursue a block of buffers in lockstep; one code list per buffer.
+def _encode_block(windows, first, bank, config):
+    """Pursue a block of windows in lockstep; one code list per window.
 
-    Every buffer ends up holding its residual, exactly as if it had been
-    pursued on its own.
+    Row j of windows (see segment_stream) holds segment first + j and ends
+    up holding its residual, exactly as if it had been pursued on its own.
     """
     if config.path == "direct":
-        return [_encode_segment_direct(buffer, bank, config) for buffer in buffers]
-    x = np.array([buffer.data for buffer in buffers])
+        return [_encode_segment_direct(SegmentBuffer(x, first + j), bank, config)
+                for j, x in enumerate(windows)]
+    x = windows  # pursued in place until a stop compacts x into a copy
     energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
     slack = _ROUNDING_SLACK * np.sqrt(np.einsum("ij,ij->i", x, x) * energy) * (1.0 + energy)
     offsets = np.arange(bank.kernel_length)
-    rows = _RowBounds(len(buffers), bank.kernel_count)
-    codes = [[] for _ in buffers]
+    rows = _RowBounds(len(windows), bank.kernel_count)
+    codes = [[] for _ in windows]
     for iteration in range(config.sps):
         rows.refresh(np.fft.rfft(x, axis=1), lambda kernels, spectra, prod, out:
                      correlate_all_fft(None, bank, kernels, spectra, prod, out),
@@ -241,17 +243,17 @@ def _encode_block(buffers, bank, config):
         m, u, s = rows.pick()
         stop = np.abs(s) < config.threshold
         if stop.any():
-            rows.retire(stop, buffers, x)
+            rows.retire(stop, windows, x)
             keep = ~stop
             x, slack, m, u, s = x[keep], slack[keep], m[keep], u[keep], s[keep]
             if not keep.any():
                 break
-        _emit(codes, buffers, rows.live, m, u, s.tolist(), iteration)
+        _emit(codes, first, rows.live, m, u, s.tolist(), iteration)
         seg = np.arange(len(m))[:, None]
         idx = (u[:, None] + offsets) % FFT_SIZE
         x[seg, idx] -= s[:, None] * bank.samples_matrix[m]
         rows.raise_bounds(np.abs(s)[:, None] * bank.peak_bound[m])
-    rows.retire(np.ones(len(rows.live), dtype=bool), buffers, x)
+    rows.retire(np.ones(len(rows.live), dtype=bool), windows, x)
     return codes
 
 
@@ -266,11 +268,11 @@ def _peak_lag_value(segments, kernels, r):
     return peak, peak, np.where(use_down, down, up), np.where(use_down, -low, high)
 
 
-def _emit(codes, buffers, live, m, u, s, iteration):
+def _emit(codes, first, live, m, u, s, iteration):
     """Append one code per live segment: kernel m at lag u with intensity s."""
     tau = np.where(u < MAX_SHIFT, u, u - FFT_SIZE)
     for j, kernel, shift, value in zip(live.tolist(), m.tolist(), tau.tolist(), s):
-        codes[j].append(Code(kernel, shift, value, buffers[j].segment_index, iteration))
+        codes[j].append(Code(kernel, shift, value, first + j, iteration))
 
 
 class _RowBounds:
@@ -335,10 +337,9 @@ class _RowBounds:
         self.floor -= step
         self.first = self.bound >= self.floor.max(axis=1)[:, None]
 
-    def retire(self, done, buffers, residuals):
-        """Write the residuals of the done segments back and drop them."""
-        for i in np.flatnonzero(done):
-            buffers[self.live[i]].data[:] = residuals[i]
+    def retire(self, done, windows, residuals):
+        """Write the residuals of the done segments back into windows and drop them."""
+        windows[self.live[done]] = residuals[done]
         keep = ~done
         for name in ("live", "peak", "top", "lag", "value", "bound", "floor", "first"):
             setattr(self, name, getattr(self, name)[keep])
@@ -375,12 +376,13 @@ def _worker_count():
 def encode_stream(samples, bank, config, flag=None):
     """Encode a whole sample stream; returns all codes in segment order.
 
-    Segments are independent: they are pursued in lockstep blocks of
-    _BLOCK, and with SPIKETRUM_THREADS > 1 the blocks encode on a thread
-    pool; results are concatenated in segment order either way and the
-    output is identical for any worker count. Non-finite samples are
-    rejected, naming the first one's index; so are samples outside the
-    fixed-point format's range, which would otherwise saturate silently.
+    Segments are independent: each task cuts the windows of _BLOCK
+    segments (segment_stream) and pursues them in lockstep, so working
+    memory does not grow with the input; with SPIKETRUM_THREADS > 1 the
+    blocks encode on a thread pool, and the output is identical for any
+    worker count. Non-finite samples are rejected, naming the first one's
+    index; so are samples outside the fixed-point format's range, which
+    would otherwise saturate silently.
     On the fixed datapath, flag (a fixed_point.SaturationFlag) is set when
     the arithmetic saturates during the pursuit; passing one without
     config.fixed is an error.
@@ -389,7 +391,6 @@ def encode_stream(samples, bank, config, flag=None):
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         raise ValueError(f"non-finite sample {samples[bad[0]]} at index {bad[0]}")
-    buffers = segment_stream(samples, bank.segment_length)
     if config.fixed is not None:
         from . import fixed_point  # deferred: fixed_point imports this module
 
@@ -399,20 +400,22 @@ def encode_stream(samples, bank, config, flag=None):
         if bad.size:
             raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "
                              f"the {fmt} range [{lo}, {hi}]")
-        encode_block = lambda block: fixed_point._encode_block_fixed(block, bank, config,
-                                                                     flag=flag)
+        engine = lambda *block: fixed_point._encode_block_fixed(*block, flag=flag)
     elif flag is not None:
         raise ValueError("a saturation flag needs the fixed-point datapath "
                          "(config.fixed); the float datapath does not saturate")
     else:
-        encode_block = lambda block: _encode_block(block, bank, config)
-    blocks = [buffers[i:i + _BLOCK] for i in range(0, len(buffers), _BLOCK)]
+        engine = _encode_block
+    seg, span = bank.segment_length, _BLOCK * bank.segment_length
+    encode_block = lambda start: engine(segment_stream(samples[start:start + span], seg),
+                                        start // seg, bank, config)
+    starts = range(0, len(samples), span)
     workers = _worker_count()
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(encode_block, blocks))
+            per_block = list(pool.map(encode_block, starts))
     else:
-        per_block = [encode_block(block) for block in blocks]
+        per_block = [encode_block(start) for start in starts]
     return [code for block in per_block for segment in block for code in segment]
 
 

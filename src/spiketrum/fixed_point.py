@@ -57,7 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import _RowBounds, _circular_windows, _emit, correlate_all_fft
+from .encoder import (EncoderConfig, _circular_windows, _emit, _encode_block, _RowBounds,
+                      correlate_all_fft, segment_stream)
 from .kernel_bank import FFT_SIZE, KernelBank
 
 _WIDTH = 34
@@ -324,25 +325,27 @@ def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
     quantization, a code's correlation sits at the format's limit, or a
     subtraction clips. A one-buffer block of the lockstep pursuit.
     """
-    return _encode_block_fixed([buffer], bank, config, flag, [energy_trace])[0]
+    return _encode_block_fixed(buffer.data[None], buffer.segment_index, bank, config,
+                               flag, [energy_trace])[0]
 
 
-def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
-    """The integer pursuit on a block of buffers in lockstep; one code list per buffer.
+def _encode_block_fixed(windows, first, bank, config, flag=None, traces=None):
+    """The integer pursuit on a block of windows in lockstep; one code list per window.
 
-    traces, when given, holds one energy trace list (or None) per buffer.
+    windows and first are as for encoder._encode_block, each row ending up
+    dequantized. traces, when given, holds one energy trace list (or None) per row.
     """
     if config.fixed is None:
         raise ValueError("the fixed-point datapath needs a format (config.fixed); "
                          "encode_segment is the float datapath")
     fmt = QFormat(*config.fixed)
     tables = _tables_for(bank, fmt)
-    raw = to_fixed(np.array([buffer.data for buffer in buffers]), fmt, flag)
+    raw = to_fixed(windows, fmt, flag)
     threshold_raw = to_fixed(config.threshold, fmt)
     offsets = np.arange(bank.kernel_length)
-    rows = _RowBounds(len(buffers), bank.kernel_count)
-    codes = [[] for _ in buffers]
-    traces = traces or [None] * len(buffers)
+    rows = _RowBounds(len(windows), bank.kernel_count)
+    codes = [[] for _ in windows]
+    traces = traces or [None] * len(windows)
 
     def trace_energy():
         for i, j in enumerate(rows.live.tolist()):
@@ -369,14 +372,14 @@ def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
         s_raw = value.astype(np.int64)
         stop = np.abs(s_raw) < threshold_raw
         if stop.any():
-            rows.retire(stop, buffers, to_float(raw, fmt))
+            rows.retire(stop, windows, to_float(raw, fmt))
             keep = ~stop
             raw, m, u, s_raw = raw[keep], m[keep], u[keep], s_raw[keep]
             if not keep.any():
                 break
         if flag is not None and np.any((s_raw == fmt.raw_min) | (s_raw == fmt.raw_max)):
             flag.seen = True
-        _emit(codes, buffers, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
+        _emit(codes, first, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
         seg = np.arange(len(m))[:, None]
         idx = (u[:, None] + offsets) % FFT_SIZE
         wide = _rounded_product(s_raw[:, None], tables.kernel_raw[m], fmt)
@@ -392,7 +395,7 @@ def _encode_block_fixed(buffers, bank, config, flag=None, traces=None):
         step[over] = np.inf
         rows.raise_bounds(step)
         trace_energy()
-    rows.retire(np.ones(len(rows.live), dtype=bool), buffers, to_float(raw, fmt))
+    rows.retire(np.ones(len(rows.live), dtype=bool), windows, to_float(raw, fmt))
     return codes
 
 
@@ -416,32 +419,17 @@ def parity_harness(bank, fmt=Q5_28, segments=100, sps=16, seed=2024):
     Returns every mismatch as a (float_code, fixed_code) pair, plus any
     iteration where the quantized subtraction increased residual energy.
     """
-    from . import encoder
-
-    rng = np.random.default_rng(seed)
-    seg_len = bank.segment_length
-    config_float = encoder.EncoderConfig(sps=sps, path="fft")
-    config_fixed = encoder.EncoderConfig(sps=sps,
-                                         fixed=(fmt.int_bits, fmt.frac_bits))
-    total = matched = 0
-    mismatches = []
-    energy_increases = []
-    for index in range(segments):
-        samples = rng.uniform(-1.0, 1.0, seg_len)
-        buf_float = encoder.SegmentBuffer.from_samples(samples, index)
-        buf_fixed = encoder.SegmentBuffer.from_samples(samples, index)
-        float_codes = encoder.encode_segment(buf_float, bank, config_float)
-        trace = []
-        fixed_codes = encode_segment_fixed(buf_fixed, bank, config_fixed,
-                                           energy_trace=trace)
-        for a, b in zip(float_codes, fixed_codes):
-            total += 1
-            if (a.m, a.tau) == (b.m, b.tau):
-                matched += 1
-            else:
-                mismatches.append((a, b))
-        for step in range(1, len(trace)):
-            if trace[step] > trace[step - 1]:
-                energy_increases.append((index, step - 1, trace[step - 1],
-                                         trace[step]))
-    return ParityResult(total, matched, mismatches, energy_increases)
+    rng, seg_len = np.random.default_rng(seed), bank.segment_length
+    windows = segment_stream(rng.uniform(-1.0, 1.0, segments * seg_len), seg_len)
+    traces = [[] for _ in range(segments)]
+    # the float pursuit turns its windows into residuals, so it gets a copy
+    per_float = _encode_block(windows.copy(), 0, bank, EncoderConfig(sps=sps))
+    per_fixed = _encode_block_fixed(windows, 0, bank, EncoderConfig(
+        sps=sps, fixed=(fmt.int_bits, fmt.frac_bits)), traces=traces)
+    pairs = [pair for codes in zip(per_float, per_fixed) for pair in zip(*codes)]
+    mismatches = [(a, b) for a, b in pairs if (a.m, a.tau) != (b.m, b.tau)]
+    energy_increases = [(index, step, before, after) for index, trace in enumerate(traces)
+                        for step, (before, after) in enumerate(zip(trace, trace[1:]))
+                        if after > before]
+    return ParityResult(len(pairs), len(pairs) - len(mismatches), mismatches,
+                        energy_increases)

@@ -33,6 +33,7 @@ _BANDWIDTH_FACTOR = 1.019
 
 # relative margin on peak_bound for rounding in its sum and in the FFTs
 _BOUND_SLACK = 1e-9
+_NORM_TOLERANCE = 1e-9  # |L2 norm - 1| allowed on load (generated kernels: ~1e-16)
 
 _BANK_MAGIC = b"SPKB"
 _BANK_VERSION = 1
@@ -273,8 +274,9 @@ def load_bank(path):
     ------
     BankFormatError
         On wrong magic, unsupported version, a kernel count or length the
-        bank rejects, truncation, or trailing bytes; the message names the
-        failing byte offset.
+        bank rejects, truncation, trailing bytes, or a kernel with a
+        non-finite tap or a norm off 1 (the pursuit needs unit-norm
+        kernels); the message names the failing byte offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -303,5 +305,12 @@ def load_bank(path):
     if end != len(blob):
         raise BankFormatError(f"{len(blob) - end} trailing bytes at offset {end}")
     records = np.frombuffer(blob, _record_dtype(length), count, offset)
+    norms = np.linalg.norm(records["samples"], axis=1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))  # nan too
+    if bad.size:
+        i = bad[0]
+        problem = ("a non-finite tap" if not np.isfinite(records["samples"][i]).all()
+                   else f"L2 norm {float(norms[i])!r}, not 1 within {_NORM_TOLERANCE}")
+        raise BankFormatError(f"kernel {i} at offset {offset + i * record} has {problem}")
     return KernelBank(records["samples"].copy(), records["fc"].copy(),
                       rate, fmin, fmax, order)

@@ -21,7 +21,7 @@ BUFFER = 2048
 
 def place_component(bank, m, tau, s):
     """A segment buffer holding exactly s times kernel m at circular slot tau."""
-    buf = enc.SegmentBuffer(np.zeros(BUFFER), 0, SEGMENT)
+    buf = enc.SegmentBuffer(np.zeros(BUFFER))
     idx = (tau + np.arange(bank.kernel_length)) % BUFFER
     buf.data[idx] += s * bank.samples_matrix[m]
     return buf

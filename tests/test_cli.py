@@ -1,5 +1,6 @@
 """Command-line behavior, run in process through cli.main."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -262,6 +263,19 @@ class TestKernels:
         assert rc == 1
         assert capsys.readouterr().err.startswith(
             "error: bad bank header at offset 8 (kernel count): ")
+
+    def test_scaled_bank_rejected(self, noise_wav, tmp_path, capsys):
+        bank = kernel_bank.build_bank()
+        bank_file = tmp_path / "loud.spkb"
+        kernel_bank.save_bank(dataclasses.replace(
+            bank, samples_matrix=6 * bank.samples_matrix), bank_file)
+        out = tmp_path / "a.txt"
+        rc = cli.main(["encode", noise_wav, "-o", str(out), "--fixed", "Q5.28",
+                       "--bank", str(bank_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: kernel 0 at offset 44 has L2 norm 6.0, not 1 within 1e-09\n")
+        assert not out.exists()
 
     def test_dump_csv(self, tmp_path):
         out = tmp_path / "bank.spkb"

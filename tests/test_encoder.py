@@ -13,10 +13,10 @@ from spiketrum import encoder as enc
 from spiketrum import fixed_point as fx
 
 
-def place_kernel(bank, m, start, scale, buffer_len=enc.FFT_SIZE):
+def place_kernel(bank, m, start, scale):
     """Buffer containing scale * kernel m at the given circular slot."""
-    buf = enc.SegmentBuffer(np.zeros(buffer_len), 0, 0)
-    idx = (start + np.arange(bank.kernel_length)) % buffer_len
+    buf = enc.SegmentBuffer(np.zeros(enc.FFT_SIZE))
+    idx = (start + np.arange(bank.kernel_length)) % enc.FFT_SIZE
     buf.data[idx] += scale * bank.samples_matrix[m]
     return buf
 
@@ -28,31 +28,49 @@ def brute_correlate(data, kernel_samples):
 
 
 class TestSegmentStream:
+    """One zero-padded 2048-sample float64 window per segment, as array rows."""
+
     def test_exact_multiple(self):
-        buffers = enc.segment_stream(np.ones(1392), 696)
-        assert len(buffers) == 2
-        assert all(b.valid_samples == 696 for b in buffers)
+        windows = enc.segment_stream(np.ones(1392), 696)
+        assert windows.shape == (2, enc.FFT_SIZE) and windows.dtype == np.float64
+        assert np.all(windows[:, :696] == 1.0) and np.all(windows[:, 696:] == 0.0)
 
     def test_padded_tail(self):
-        buffers = enc.segment_stream(np.ones(700), 696)
-        assert len(buffers) == 2
-        assert buffers[1].valid_samples == 4
-        assert np.all(buffers[1].data[4:] == 0.0)
+        windows = enc.segment_stream(np.ones(700), 696)
+        assert windows.shape == (2, enc.FFT_SIZE)
+        assert np.all(windows[1, :4] == 1.0)
+        assert np.all(windows[1, 4:] == 0.0)
 
     def test_empty_input(self):
-        assert enc.segment_stream(np.array([]), 696) == []
+        assert enc.segment_stream(np.array([]), 696).shape == (0, enc.FFT_SIZE)
 
     def test_indices_and_content(self):
         samples = np.arange(1500, dtype=float)
-        buffers = enc.segment_stream(samples, 696)
-        assert [b.segment_index for b in buffers] == [0, 1, 2]
-        np.testing.assert_array_equal(buffers[1].data[:696], samples[696:1392])
-        assert np.all(buffers[0].data[696:] == 0.0)
+        windows = enc.segment_stream(samples, 696)
+        assert len(windows) == 3  # row i holds segment i
+        np.testing.assert_array_equal(windows[0, :696], samples[:696])
+        np.testing.assert_array_equal(windows[1, :696], samples[696:1392])
+        np.testing.assert_array_equal(windows[2, :108], samples[1392:])
+        assert np.all(windows[2, 108:] == 0.0) and np.all(windows[:, 696:] == 0.0)
+
+    def test_rows_equal_single_buffers(self):
+        samples = np.random.default_rng(43).uniform(-1, 1, 5 * 331 + 7)
+        windows = enc.segment_stream(samples, 331)
+        assert len(windows) == 6
+        for i, row in enumerate(windows):
+            buffer = enc.SegmentBuffer.from_samples(samples[331 * i:331 * (i + 1)], i)
+            np.testing.assert_array_equal(row, buffer.data)
+
+    def test_full_window_segments(self):
+        samples = np.arange(2 * enc.FFT_SIZE + 1, dtype=float)
+        windows = enc.segment_stream(samples, enc.FFT_SIZE)
+        np.testing.assert_array_equal(windows.ravel()[:len(samples)], samples)
+        assert np.all(windows[2, 1:] == 0.0)
 
     def test_bad_segment_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"segment length 0 outside \[1, 2048\]"):
             enc.segment_stream(np.ones(10), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"segment length 5000 outside \[1, 2048\]"):
             enc.segment_stream(np.ones(10), 5000)
 
 
@@ -61,14 +79,14 @@ class TestCorrelate:
 
     def test_direct_matches_brute_force(self, bank):
         rng = np.random.default_rng(10)
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         buf.data[:696] = rng.uniform(-1, 1, 696)
         np.testing.assert_allclose(enc.correlate_all_direct(buf, bank)[13],
                                    brute_correlate(buf.data, bank.samples_matrix[13]),
                                    atol=1e-12)
 
     def test_impulse_sifts_kernel(self, bank):
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 1)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         buf.data[0] = 1.0
         kernel = bank.samples_matrix[20]
         r = enc.correlate_all_direct(buf, bank)[20]
@@ -85,21 +103,21 @@ class TestCorrelate:
         assert abs(r[100] - 1.0) < 1e-9
 
     def test_zero_buffer(self, bank):
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 0)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         assert np.all(enc.correlate_all_direct(buf, bank) == 0.0)
         assert np.all(enc.correlate_all_fft(buf, bank) == 0.0)
 
     def test_fft_equals_direct(self, bank):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
+            buf = enc.SegmentBuffer(np.zeros(2048))
             buf.data[:696] = rng.uniform(-1, 1, 696)
             diff = enc.correlate_all_fft(buf, bank) - enc.correlate_all_direct(buf, bank)
             assert np.max(np.abs(diff)) < 1e-9
 
     def test_batched_matches_single(self, bank):
         rng = np.random.default_rng(12)
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         buf.data[:696] = rng.uniform(-1, 1, 696)
         all_direct = enc.correlate_all_direct(buf, bank)
         all_fft = enc.correlate_all_fft(buf, bank)
@@ -156,7 +174,7 @@ class TestFindBestCode:
     def test_greedy_attains_brute_force_maximum(self, bank):
         rng = np.random.default_rng(13)
         for _ in range(3):
-            buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
+            buf = enc.SegmentBuffer(np.zeros(2048))
             buf.data[:696] = rng.uniform(-1, 1, 696)
             brute = np.stack([brute_correlate(buf.data, k)
                               for k in bank.samples_matrix])
@@ -173,14 +191,14 @@ class TestSubtractComponent:
 
     def test_zero_scale_is_noop(self, bank):
         rng = np.random.default_rng(14)
-        buf = enc.SegmentBuffer(rng.uniform(-1, 1, 2048), 0, 696)
+        buf = enc.SegmentBuffer(rng.uniform(-1, 1, 2048))
         before = buf.data.copy()
         enc.subtract_component(buf, bank.samples_matrix[0], 50, 0.0)
         np.testing.assert_array_equal(buf.data, before)
 
     def test_energy_identity_single_step(self, bank):
         rng = np.random.default_rng(15)
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 696)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         buf.data[:696] = rng.uniform(-1, 1, 696)
         energy = float(buf.data @ buf.data)
         code = enc.find_best_code(enc.correlate_all_fft(buf, bank))
@@ -194,7 +212,7 @@ class TestSubtractComponent:
         assert float(buf.data @ buf.data) < 1e-12
 
     def test_tau_out_of_range(self, bank):
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 0)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         with pytest.raises(ValueError):
             enc.subtract_component(buf, bank.samples_matrix[0], 1500, 1.0)
         with pytest.raises(ValueError):
@@ -214,9 +232,17 @@ class TestFeedback:
 
 class TestEncodeSegment:
     def test_zero_buffer_with_threshold(self, bank):
-        buf = enc.SegmentBuffer(np.zeros(2048), 0, 0)
+        buf = enc.SegmentBuffer(np.zeros(2048))
         config = enc.EncoderConfig(sps=16, threshold=0.01)
         assert enc.encode_segment(buf, bank, config) == []
+
+    def test_fixed_config_is_an_error(self, bank):
+        # this path would run the float pursuit and ignore the format
+        buf = enc.SegmentBuffer.from_samples(np.random.default_rng(3).uniform(-1, 1, 696))
+        before = buf.data.copy()
+        with pytest.raises(ValueError, match="fixed_point.encode_segment_fixed"):
+            enc.encode_segment(buf, bank, enc.EncoderConfig(sps=3, fixed=(5, 28)))
+        np.testing.assert_array_equal(buf.data, before)
 
     def test_single_component_recovery(self, bank):
         buf = place_kernel(bank, 7, 100, 0.5)
@@ -357,8 +383,9 @@ def mixed_segments():
 
 def stream_segments(samples, bank, config, encode_segment):
     """Codes of a stream pursued one segment at a time."""
-    return [code for buffer in enc.segment_stream(samples, bank.segment_length)
-            for code in encode_segment(buffer, bank, config)]
+    seg = bank.segment_length
+    return [code for start in range(0, len(samples), seg) for code in encode_segment(
+        enc.SegmentBuffer.from_samples(samples[start:start + seg], start // seg), bank, config)]
 
 
 class TestBlockPursuit:
@@ -367,16 +394,26 @@ class TestBlockPursuit:
     def test_mixed_block_matches_each_segment_alone(self, bank):
         config = enc.EncoderConfig(sps=32, threshold=0.1)
         segments = mixed_segments()
-        block = [enc.SegmentBuffer.from_samples(x, i) for i, x in enumerate(segments)]
-        codes = enc._encode_block(block, bank, config)
+        windows = enc.segment_stream(np.concatenate(segments), 696)
+        codes = enc._encode_block(windows, 3, bank, config)  # segments 3 to 10
         assert {len(c) for c in codes} >= {0, 32} and len({len(c) for c in codes}) >= 4
         for i, samples in enumerate(segments):
-            alone = enc.SegmentBuffer.from_samples(samples, i)
-            full = enc.SegmentBuffer.from_samples(samples, i)
+            alone = enc.SegmentBuffer.from_samples(samples, 3 + i)
+            full = enc.SegmentBuffer.from_samples(samples, 3 + i)
             assert codes[i] == enc.encode_segment(alone, bank, config)
             assert codes[i] == full_recompute(full, bank, config)
-            np.testing.assert_array_equal(block[i].data, alone.data)
-            np.testing.assert_array_equal(block[i].data, full.data)
+            np.testing.assert_array_equal(windows[i], alone.data)
+            np.testing.assert_array_equal(windows[i], full.data)
+
+    def test_direct_block_pursues_each_row_in_place(self, bank):
+        config = enc.EncoderConfig(sps=4, threshold=0.1, path="direct")
+        segments = mixed_segments()[:4]
+        windows = enc.segment_stream(np.concatenate(segments), 696)
+        codes = enc._encode_block(windows, 5, bank, config)
+        for i, samples in enumerate(segments):
+            alone = enc.SegmentBuffer.from_samples(samples, 5 + i)
+            assert codes[i] == enc._encode_segment_direct(alone, bank, config)
+            np.testing.assert_array_equal(windows[i], alone.data)
 
     @pytest.mark.parametrize("count", [1, enc._BLOCK - 1, enc._BLOCK, enc._BLOCK + 1,
                                        2 * enc._BLOCK + 1])
@@ -399,16 +436,16 @@ class TestBlockPursuit:
 
     @pytest.mark.parametrize("fixed", [None, (5, 28)])
     def test_workspace_does_not_grow_with_segments(self, bank, monkeypatch, fixed):
-        # Traced allocations at the peak, beyond the output codes and the
-        # 2048-sample segment buffers: the same for 8 and 64 segments, and
-        # below the (block, 40, 2048) float64 rows a block's first iteration
-        # would need if its refresh were not chunked.
+        # Traced allocations at the peak, beyond the output codes: within
+        # 64 KB for 8 and 512 segments, since each block cuts its own
+        # windows, and below the (block, 40, 2048) float64 rows a block's
+        # first iteration would need if its refresh were not chunked.
         monkeypatch.setenv("SPIKETRUM_THREADS", "1")
         config = enc.EncoderConfig(sps=16, fixed=fixed)
         rng = np.random.default_rng(42)
         enc.encode_stream(rng.uniform(-1, 1, 2000), bank, config)  # fill lazy tables
         beyond = {}
-        for count in (8, 64):
+        for count in (8, 512):
             samples = rng.uniform(-1, 1, count * 696)
             tracemalloc.start()
             try:
@@ -417,10 +454,10 @@ class TestBlockPursuit:
             finally:
                 tracemalloc.stop()
             assert len(codes) == 16 * count
-            beyond[count] = peak - current - count * enc.FFT_SIZE * 8
+            beyond[count] = peak - current
         rows = enc._BLOCK * bank.kernel_count * enc.FFT_SIZE * 8
-        assert abs(beyond[64] - beyond[8]) < 64 * 1024, beyond
-        assert beyond[64] < rows, beyond
+        assert abs(beyond[512] - beyond[8]) < 64 * 1024, beyond
+        assert beyond[512] < rows, beyond
 
 
 class TestEncodeStream:

@@ -339,13 +339,13 @@ class TestEncodeSegmentFixed:
                                     EncoderConfig(sps=4, threshold=100.0))
 
     def test_zero_buffer_with_threshold(self, bank):
-        buf = SegmentBuffer(np.zeros(2048), 0, 0)
+        buf = SegmentBuffer(np.zeros(2048))
         config = EncoderConfig(sps=16, threshold=0.01, path="direct",
                                fixed=(5, 28))
         assert fx.encode_segment_fixed(buf, bank, config) == []
 
     def test_recovers_placed_component(self, bank):
-        buf = SegmentBuffer(np.zeros(2048), 0, 696)
+        buf = SegmentBuffer(np.zeros(2048))
         idx = (100 + np.arange(bank.kernel_length)) % 2048
         buf.data[idx] += 0.5 * bank.samples_matrix[7]
         config = EncoderConfig(sps=1, path="direct", fixed=(5, 28))
@@ -395,7 +395,7 @@ class TestEncodeSegmentFixed:
     def test_saturation_flag_on_a_saturated_correlation(self, bank):
         # 40 times a unit-norm kernel correlates to 40, past Q5.28's top,
         # while its samples and the subtraction stay far inside the range
-        buf = SegmentBuffer(np.zeros(2048), 0, 696)
+        buf = SegmentBuffer(np.zeros(2048))
         buf.data[100:100 + bank.kernel_length] = 40.0 * bank.samples_matrix[7]
         assert np.max(np.abs(buf.data)) < 16.0
         flag = fx.SaturationFlag()
@@ -505,8 +505,8 @@ class TestPrunedRefreshFixed:
         inputs.append(31.9 * np.sign(inputs[0]))
         for index, samples in enumerate(inputs):
             sizes.clear()
-            buffer = SegmentBuffer(np.resize(samples, FFT_SIZE), index, FFT_SIZE)
-            pruned = SegmentBuffer(buffer.data.copy(), index, FFT_SIZE)
+            buffer = SegmentBuffer(np.resize(samples, FFT_SIZE), index)
+            pruned = SegmentBuffer(buffer.data.copy(), index)
             config = EncoderConfig(sps=4, fixed=(5, 28))
             want, _ = full_recompute_fixed(buffer, bank, config)
             assert fx.encode_segment_fixed(pruned, bank, config) == want
@@ -609,20 +609,20 @@ class TestBlockPursuitFixed:
     def test_mixed_block_matches_each_segment_alone(self, bank):
         config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
         segments = self.segments()
-        block = [SegmentBuffer.from_samples(x, i) for i, x in enumerate(segments)]
+        windows = encoder.segment_stream(np.concatenate(segments), 696)
         flag = fx.SaturationFlag()
         traces = [[] for _ in segments]
-        codes = fx._encode_block_fixed(block, bank, config, flag, traces)
+        codes = fx._encode_block_fixed(windows, 4, bank, config, flag, traces)  # segments 4-10
         assert {len(c) for c in codes} == {0, 5, 8}
         assert flag  # the full-scale noise clips
         for i, samples in enumerate(segments):
-            alone = SegmentBuffer.from_samples(samples, i)
-            full = SegmentBuffer.from_samples(samples, i)
+            alone = SegmentBuffer.from_samples(samples, 4 + i)
+            full = SegmentBuffer.from_samples(samples, 4 + i)
             trace, own = [], fx.SaturationFlag()
             assert codes[i] == fx.encode_segment_fixed(alone, bank, config, trace, own)
             assert codes[i] == full_recompute_fixed(full, bank, config)[0]
-            np.testing.assert_array_equal(block[i].data, alone.data)
-            np.testing.assert_array_equal(block[i].data, full.data)
+            np.testing.assert_array_equal(windows[i], alone.data)
+            np.testing.assert_array_equal(windows[i], full.data)
             assert traces[i] == trace and len(trace) == len(codes[i]) + 1
             assert bool(own) == (i == 3)
 
@@ -639,19 +639,19 @@ class TestBlockPursuitFixed:
         placed[200:200 + bank.kernel_length] = 5 * bank.samples_matrix[30]
         segments = [quiet[0], placed, quiet[1]]
         config = EncoderConfig(sps=sps, fixed=(5, 28))
-        block = [SegmentBuffer(x.copy(), i, 696) for i, x in enumerate(segments)]
+        windows = np.array(segments)
         flag = fx.SaturationFlag()
-        codes = fx._encode_block_fixed(block, loud, config, flag)
+        codes = fx._encode_block_fixed(windows, 0, loud, config, flag)
         assert (codes[1][0].m, codes[1][0].tau, codes[1][0].s) == (30, 200, 30.0)
         assert flag
         for i, x in enumerate(segments):
-            alone, full = SegmentBuffer(x.copy(), i, 696), SegmentBuffer(x.copy(), i, 696)
+            alone, full = SegmentBuffer(x.copy(), i), SegmentBuffer(x.copy(), i)
             own = fx.SaturationFlag()
             assert codes[i] == fx.encode_segment_fixed(alone, loud, config, flag=own)
             want, clips = full_recompute_fixed(full, loud, config)
             assert codes[i] == want
-            np.testing.assert_array_equal(block[i].data, alone.data)
-            np.testing.assert_array_equal(block[i].data, full.data)
+            np.testing.assert_array_equal(windows[i], alone.data)
+            np.testing.assert_array_equal(windows[i], full.data)
             assert bool(own) == (clips > 0) == (i == 1)
 
     @pytest.mark.parametrize("count", [1, encoder._BLOCK - 1, encoder._BLOCK,
@@ -660,8 +660,9 @@ class TestBlockPursuitFixed:
         rng = np.random.default_rng(71)
         samples = 0.4 * rng.uniform(-1, 1, count * 696 - 300)
         config = EncoderConfig(sps=4, threshold=0.05, fixed=(5, 28))
-        per_segment = [code for buffer in encoder.segment_stream(samples, 696)
-                       for code in fx.encode_segment_fixed(buffer, bank, config)]
+        per_segment = [code for start in range(0, len(samples), 696)
+                       for code in fx.encode_segment_fixed(SegmentBuffer.from_samples(
+                           samples[start:start + 696], start // 696), bank, config)]
         assert encoder.encode_stream(samples, bank, config) == per_segment
 
     def test_thread_counts_give_identical_codes(self, bank, monkeypatch):

@@ -1,5 +1,6 @@
 """Kernel dictionary: ERB spacing, gammatone shapes, file round trips."""
 
+import dataclasses
 import re
 import struct
 
@@ -204,6 +205,40 @@ class TestBankFile:
                            match=re.escape("offset 12 (kernel length): kernel length "
                                            "3000 outside [1, 2048]")):
             kb.load_bank(path)
+
+    def test_scaled_kernels_rejected(self, bank, tmp_path):
+        # six times the bank drives the fixed pursuit into saturation
+        path = tmp_path / "loud.spkb"
+        kb.save_bank(dataclasses.replace(bank, samples_matrix=6 * bank.samples_matrix), path)
+        message = "kernel 0 at offset 44 has L2 norm 6.0, not 1 within 1e-09"
+        with pytest.raises(kb.BankFormatError, match=f"^{re.escape(message)}$"):
+            kb.load_bank(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tap_rejected(self, bank, tmp_path, value):
+        # kernel 3's record starts at 44 + 3 * 10832; its taps 8 bytes later
+        path = tmp_path / "bad.spkb"
+        kb.save_bank(bank, path)
+        blob = bytearray(path.read_bytes())
+        blob[32540 + 8 + 5 * 8:32540 + 8 + 6 * 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(kb.BankFormatError,
+                           match="^kernel 3 at offset 32540 has a non-finite tap$"):
+            kb.load_bank(path)
+
+    def test_norm_tolerance(self, bank, tmp_path):
+        path = tmp_path / "scaled.spkb"
+        for scale, ok in ((1 + 1e-12, True), (1 - 1e-12, True), (1 + 1e-8, False),
+                          (1 - 1e-8, False)):
+            samples = bank.samples_matrix.copy()
+            samples[-1] *= scale
+            kb.save_bank(dataclasses.replace(bank, samples_matrix=samples), path)
+            if ok:
+                assert np.array_equal(kb.load_bank(path).samples_matrix, samples)
+            else:
+                with pytest.raises(kb.BankFormatError, match="^kernel 39 at offset "
+                                   f"{44 + 39 * 10832} has L2 norm"):
+                    kb.load_bank(path)
 
     def test_trailing_bytes_rejected(self, bank, tmp_path):
         path = tmp_path / "fat.spkb"
