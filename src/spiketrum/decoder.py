@@ -18,14 +18,15 @@ SNR_CAP_DB = 300.0
 def _overlap_add(starts, kernels, scales, bank, length):
     """Sum of scales[i] * kernel kernels[i] placed at starts[i], in order.
 
-    Samples falling outside [0, length) are dropped.
+    Samples falling outside [0, length) are dropped; the kernels are checked first.
     """
+    if kernels and not (min(kernels) >= 0 and max(kernels) < bank.kernel_count):
+        bad = next(m for m in kernels if not 0 <= m < bank.kernel_count)
+        raise ValueError(f"kernel index {bad} outside bank of {bank.kernel_count}")
     out = np.zeros(length)
     samples = bank.samples_matrix
     width = bank.kernel_length
     for start, m, scale in zip(starts, kernels, scales):
-        if not 0 <= m < bank.kernel_count:
-            raise ValueError(f"kernel index {m} outside bank of {bank.kernel_count}")
         lo = max(start, 0)
         hi = min(start + width, length)
         if lo < hi:

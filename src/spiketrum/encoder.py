@@ -93,10 +93,10 @@ class EncoderConfig:
 
     sps caps codes per segment; threshold below which a response stops the
     segment (0 disables feedback); path picks the correlation engine; fixed
-    switches to the integer datapath emulation, given as (int_bits,
-    frac_bits) of the 34-bit format, and the threshold must then lie in
-    that format's range. Frozen, so every value passes the checks below:
-    change one with dataclasses.replace.
+    switches to the integer datapath, given as (int_bits, frac_bits) of the
+    34-bit format, whose own correlation leaves path at "fft" and whose
+    range must hold the threshold. Frozen, so every value passes the checks
+    below: change one with dataclasses.replace.
     """
 
     sps: int = 16
@@ -112,12 +112,39 @@ class EncoderConfig:
         if self.path not in ("direct", "fft"):
             raise ValueError(f"unknown correlation path {self.path!r}")
         if self.fixed is not None:
-            from .fixed_point import QFormat  # deferred: fixed_point imports this module
-
-            fmt = QFormat(*self.fixed)
-            if self.threshold > fmt.raw_max / fmt.scale:
+            fmt, low, high = _format_range(self.fixed)
+            if self.path != "fft":
+                raise ValueError(f"path {self.path!r} does not apply with fixed: the "
+                                 f"integer datapath has its own correlation")
+            if self.threshold > high:
                 raise ValueError(f"threshold {self.threshold} outside the {fmt} range "
-                                 f"[{fmt.raw_min / fmt.scale}, {fmt.raw_max / fmt.scale}]")
+                                 f"[{low}, {high}]")
+
+
+def _format_range(fixed):
+    """The fixed-point format of (int_bits, frac_bits) and its real-valued range."""
+    from .fixed_point import QFormat  # deferred: fixed_point imports this module
+
+    fmt = QFormat(*fixed)
+    return fmt, fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+
+
+def _check_samples(samples, config):
+    """The samples as float64 if finite and, on the fixed datapath, in range;
+    else a ValueError naming the first bad index. Only a failure allocates."""
+    samples = np.asarray(samples, dtype=np.float64)
+    limit = np.finfo(np.float64).max
+    fmt, low, high = (None, -limit, limit) if config.fixed is None else \
+        _format_range(config.fixed)
+    # a NaN sample makes min and max NaN, and every comparison with it false
+    if not samples.size or (low <= samples.min() and samples.max() <= high):
+        return samples
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise ValueError(f"non-finite sample {samples[bad[0]]} at index {bad[0]}")
+    first = np.flatnonzero((samples < low) | (samples > high))[0]
+    raise ValueError(f"sample {samples[first]} at index {first} outside "
+                     f"the {fmt} range [{low}, {high}]")
 
 
 def segment_stream(samples, segment_len):
@@ -213,11 +240,13 @@ def encode_segment(buffer, bank, config):
     returned code satisfies |s| >= threshold. A one-buffer block of the
     lockstep pursuit (see the module docstring) on the FFT path; the
     direct path recomputes every row every iteration and is the oracle
-    the FFT path is checked against. A fixed-point config is an error.
+    the FFT path is checked against. Samples are checked as by
+    encode_stream. A fixed-point config is an error.
     """
     if config.fixed is not None:
         raise ValueError("encode_segment is the float datapath; a fixed-point config "
                          "(config.fixed) needs fixed_point.encode_segment_fixed")
+    _check_samples(buffer.data, config)
     return _encode_block(buffer.data[None], buffer.segment_index, bank, config)[0]
 
 
@@ -382,24 +411,15 @@ def encode_stream(samples, bank, config, flag=None):
     blocks encode on a thread pool, and the output is identical for any
     worker count. Non-finite samples are rejected, naming the first one's
     index; so are samples outside the fixed-point format's range, which
-    would otherwise saturate silently.
+    would otherwise saturate silently; the per-segment entries share this check.
     On the fixed datapath, flag (a fixed_point.SaturationFlag) is set when
-    the arithmetic saturates during the pursuit; passing one without
-    config.fixed is an error.
+    the pursuit saturates: a code's correlation sits at the format's limit,
+    or a subtraction clips. Passing one without config.fixed is an error.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        raise ValueError(f"non-finite sample {samples[bad[0]]} at index {bad[0]}")
+    samples = _check_samples(samples, config)
     if config.fixed is not None:
         from . import fixed_point  # deferred: fixed_point imports this module
 
-        fmt = fixed_point.QFormat(*config.fixed)
-        lo, hi = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
-        bad = np.flatnonzero((samples < lo) | (samples > hi))
-        if bad.size:
-            raise ValueError(f"sample {samples[bad[0]]} at index {bad[0]} outside "
-                             f"the {fmt} range [{lo}, {hi}]")
         engine = lambda *block: fixed_point._encode_block_fixed(*block, flag=flag)
     elif flag is not None:
         raise ValueError("a saturation flag needs the fixed-point datapath "

@@ -4,10 +4,12 @@ Values live in a signed 34-bit Q format (default Q5.28): raw integers in
 [-2**33, 2**33 - 1] representing raw / 2**frac_bits. Primitive operations
 compute exact wide-integer results, round once to the format's fractional
 precision (round to nearest, ties to even), and saturate at the format
-bounds. The fixed encoding loop mirrors the float loop with every
-correlation lag accumulated exactly in a wide accumulator and rounded
-once, the subtraction products rounded elementwise, and all comparisons
-done on raw integers. Splitting 34-bit operands at bit 17 keeps partial
+bounds without reporting it: the encode entries reject samples outside
+the range, so only the pursuit can saturate (SaturationFlag). The fixed
+encoding loop mirrors the float loop with every correlation lag
+accumulated exactly in a wide accumulator and rounded once, the
+subtraction products rounded elementwise, and all comparisons done on
+raw integers. Splitting 34-bit operands at bit 17 keeps partial
 products below 2**50 and 1353-tap correlation partials below 2**46, exact
 in int64 and in float64 matrix products.
 
@@ -57,8 +59,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import (EncoderConfig, _circular_windows, _emit, _encode_block, _RowBounds,
-                      correlate_all_fft, segment_stream)
+from .encoder import (EncoderConfig, _check_samples, _circular_windows, _emit,
+                      _encode_block, _RowBounds, correlate_all_fft, segment_stream)
 from .kernel_bank import FFT_SIZE, KernelBank
 
 _WIDTH = 34
@@ -116,7 +118,7 @@ def parse_qformat(text):
 
 
 class SaturationFlag:
-    """Sticky status bit set whenever an operation saturates."""
+    """Sticky status bit set whenever the fixed pursuit saturates."""
 
     __slots__ = ("seen",)
 
@@ -127,25 +129,14 @@ class SaturationFlag:
         return self.seen
 
 
-def _saturate_int(values, fmt, flag):
-    values = np.asarray(values)
-    if flag is not None and (np.any(values > fmt.raw_max)
-                             or np.any(values < fmt.raw_min)):
-        flag.seen = True
-    return np.clip(values, fmt.raw_min, fmt.raw_max)
-
-
 def _as_result(raw, scalar):
     return int(raw) if scalar else raw
 
 
-def to_fixed(x, fmt=Q5_28, flag=None):
+def to_fixed(x, fmt=Q5_28):
     """Quantize real values to raw integers: round to nearest even, saturate."""
     scalar = np.ndim(x) == 0
     scaled = np.rint(np.asarray(x, dtype=np.float64) * fmt.scale)
-    if flag is not None and (np.any(scaled > fmt.raw_max)
-                             or np.any(scaled < fmt.raw_min)):
-        flag.seen = True
     # clip in float first; the bounds are exactly representable in float64
     raw = np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
     return _as_result(raw, scalar)
@@ -158,11 +149,11 @@ def to_float(raw, fmt=Q5_28):
     return float(values) if scalar else values
 
 
-def q_add(a, b, fmt=Q5_28, flag=None):
+def q_add(a, b, fmt=Q5_28):
     """Saturating add; exact whenever the sum is in range."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return _as_result(_saturate_int(total, fmt, flag), scalar)
+    return _as_result(np.clip(total, fmt.raw_min, fmt.raw_max), scalar)
 
 
 def _rne_combine(m, r0, fmt):
@@ -201,10 +192,11 @@ def _rounded_product(a, b, fmt):
     return _rne_combine(m, p_lo & _SPLIT_MASK, fmt)
 
 
-def q_mul(a, b, fmt=Q5_28, flag=None):
+def q_mul(a, b, fmt=Q5_28):
     """Saturating multiply: exact wide product, one rounding to fmt."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    return _as_result(_saturate_int(_rounded_product(a, b, fmt), fmt, flag), scalar)
+    product = np.clip(_rounded_product(a, b, fmt), fmt.raw_min, fmt.raw_max)
+    return _as_result(product, scalar)
 
 
 @dataclass(eq=False)
@@ -260,7 +252,7 @@ def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None
     p_x = ((w_hi @ gemm_lo) + (w_lo @ gemm_hi)).astype(np.int64).T
     p_ll = (w_lo @ gemm_lo).astype(np.int64).T
     m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
-    return _saturate_int(_rne_combine(m, p_ll & _SPLIT_MASK, fmt), fmt, None)
+    return np.clip(_rne_combine(m, p_ll & _SPLIT_MASK, fmt), fmt.raw_min, fmt.raw_max)
 
 
 def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
@@ -311,47 +303,39 @@ def _peak_step(tables, m, s_raw):
     return abs(s_raw) * tables.bank.peak_bound[m] + tables.step_floor
 
 
-def encode_segment_fixed(buffer, bank, config, energy_trace=None, flag=None):
+def encode_segment_fixed(buffer, bank, config, flag=None):
     """Matching pursuit on the integer datapath; mutates buffer to the residual.
 
     Mirrors the float loop on raw integers: exact correlations rounded once
     per lag (screened, and refreshed or taken exactly only where they can
     win: see the module docstring), the same tie order, the quantized
     feedback threshold, and a rounded, saturating subtraction. The buffer
-    ends up holding the dequantized residual. When given, energy_trace
-    collects the residual energy before the loop and after every
-    subtraction, so callers can watch for quantization pushing energy up,
-    and flag (a SaturationFlag) is set if the buffer saturates on
-    quantization, a code's correlation sits at the format's limit, or a
-    subtraction clips. A one-buffer block of the lockstep pursuit.
-    """
-    return _encode_block_fixed(buffer.data[None], buffer.segment_index, bank, config,
-                               flag, [energy_trace])[0]
-
-
-def _encode_block_fixed(windows, first, bank, config, flag=None, traces=None):
-    """The integer pursuit on a block of windows in lockstep; one code list per window.
-
-    windows and first are as for encoder._encode_block, each row ending up
-    dequantized. traces, when given, holds one energy trace list (or None) per row.
+    ends up holding the dequantized residual. Samples are checked as by
+    encoder.encode_stream. flag (a SaturationFlag), when given, is set if a
+    code's correlation sits at the format's limit or a subtraction clips.
+    A one-buffer block of the lockstep pursuit.
     """
     if config.fixed is None:
         raise ValueError("the fixed-point datapath needs a format (config.fixed); "
                          "encode_segment is the float datapath")
+    _check_samples(buffer.data, config)
+    return _encode_block_fixed(buffer.data[None], buffer.segment_index, bank, config,
+                               flag)[0]
+
+
+def _encode_block_fixed(windows, first, bank, config, flag=None):
+    """The integer pursuit on a block of windows in lockstep; one code list per window.
+
+    windows and first are as for encoder._encode_block, each row ending up
+    dequantized; its samples must lie in the format's range (_check_samples).
+    """
     fmt = QFormat(*config.fixed)
     tables = _tables_for(bank, fmt)
-    raw = to_fixed(windows, fmt, flag)
+    raw = to_fixed(windows, fmt)
     threshold_raw = to_fixed(config.threshold, fmt)
     offsets = np.arange(bank.kernel_length)
     rows = _RowBounds(len(windows), bank.kernel_count)
     codes = [[] for _ in windows]
-    traces = traces or [None] * len(windows)
-
-    def trace_energy():
-        for i, j in enumerate(rows.live.tolist()):
-            if traces[j] is not None:
-                residual = to_float(raw[i], fmt)
-                traces[j].append(float(residual @ residual))
 
     def reduce(segments, kernels, screen):
         peak, lag, value = _exact_peak(
@@ -360,7 +344,6 @@ def _encode_block_fixed(windows, first, bank, config, flag=None, traces=None):
                                                 slice(kernels[j], kernels[j] + 1), lags)[0])
         return peak, np.abs(value), lag, value
 
-    trace_energy()
     for iteration in range(config.sps):
         data = raw.astype(np.float64)
         delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", data, data)) * tables.kernel_norm
@@ -394,7 +377,6 @@ def _encode_block_fixed(windows, first, bank, config, flag=None, traces=None):
         step = _peak_step(tables, m, s_raw[:, None])
         step[over] = np.inf
         rows.raise_bounds(step)
-        trace_energy()
     rows.retire(np.ones(len(rows.live), dtype=bool), windows, to_float(raw, fmt))
     return codes
 
@@ -417,15 +399,21 @@ def parity_harness(bank, fmt=Q5_28, segments=100, sps=16, seed=2024):
     """Encode random segments on both datapaths and compare (m, tau) pairs.
 
     Returns every mismatch as a (float_code, fixed_code) pair, plus any
-    iteration where the quantized subtraction increased residual energy.
+    iteration where the quantized subtraction increased residual energy,
+    read between steps of the fixed pursuit, one code each.
     """
     rng, seg_len = np.random.default_rng(seed), bank.segment_length
     windows = segment_stream(rng.uniform(-1.0, 1.0, segments * seg_len), seg_len)
-    traces = [[] for _ in range(segments)]
     # the float pursuit turns its windows into residuals, so it gets a copy
     per_float = _encode_block(windows.copy(), 0, bank, EncoderConfig(sps=sps))
-    per_fixed = _encode_block_fixed(windows, 0, bank, EncoderConfig(
-        sps=sps, fixed=(fmt.int_bits, fmt.frac_bits)), traces=traces)
+    one_code = EncoderConfig(sps=1, fixed=(fmt.int_bits, fmt.frac_bits))
+    residuals = to_float(to_fixed(windows, fmt), fmt)
+    traces = [[float(row @ row)] for row in residuals]
+    per_fixed = [[] for _ in residuals]
+    for iteration in range(sps):  # at threshold 0 each step emits one code per segment
+        for j, (code,) in enumerate(_encode_block_fixed(residuals, 0, bank, one_code)):
+            per_fixed[j].append(dataclasses.replace(code, iteration=iteration))
+            traces[j].append(float(residuals[j] @ residuals[j]))
     pairs = [pair for codes in zip(per_float, per_fixed) for pair in zip(*codes)]
     mismatches = [(a, b) for a, b in pairs if (a.m, a.tau) != (b.m, b.tau)]
     energy_increases = [(index, step, before, after) for index, trace in enumerate(traces)

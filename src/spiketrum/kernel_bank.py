@@ -133,7 +133,10 @@ def generate_gammatone(fc, fs=DEFAULT_SAMPLE_RATE, length=DEFAULT_KERNEL_LENGTH,
     envelope = t ** (order - 1) * np.exp(
         -2.0 * np.pi * _BANDWIDTH_FACTOR * erb_bandwidth(fc) * t)
     g = envelope * np.cos(2.0 * np.pi * fc * t)
-    return g / np.linalg.norm(g)
+    norm = np.linalg.norm(g)
+    if norm == 0.0:  # e.g. one tap at t = 0, where t**(order - 1) vanishes
+        raise ValueError(f"all-zero gammatone at {fc} Hz, length {length}, order {order}")
+    return g / norm
 
 
 @dataclass

@@ -57,6 +57,12 @@ class TestReconstructFromCodes:
         with pytest.raises(ValueError):
             decoder.reconstruct_from_codes([Code(m=40, tau=0, s=1.0)], bank, 100)
 
+    def test_bad_kernel_in_the_middle_names_the_first(self, bank):
+        codes = [Code(m=3, tau=0, s=1.0), Code(m=40, tau=5, s=1.0),
+                 Code(m=-1, tau=9, s=1.0), Code(m=39, tau=0, s=1.0)]
+        with pytest.raises(ValueError, match="kernel index 40 outside bank of 40"):
+            decoder.reconstruct_from_codes(codes, bank, 3000)
+
 
 class TestReconstructFromSpikes:
     def test_spike_places_level_amplitude(self, bank, channel_map):
@@ -81,6 +87,12 @@ class TestReconstructFromSpikes:
         with pytest.raises(ValueError, match="channel 120"):
             decoder.reconstruct_from_spikes(train([0, 5], [3, 120]), bank,
                                             channel_map, 500)
+
+    def test_channel_map_wider_than_the_bank(self, bank):
+        # channel 135 exists in a 50-kernel map, but its kernel 45 is not in the bank
+        wide = itp.ChannelMap(kernel_count=50)
+        with pytest.raises(ValueError, match="kernel index 45 outside bank of 40"):
+            decoder.reconstruct_from_spikes(train([0, 5, 9], [3, 135, 149]), bank, wide, 500)
 
     def test_equals_codes_recovered_from_spikes(self, bank, channel_map):
         rng = np.random.default_rng(43)

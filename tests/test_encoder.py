@@ -244,6 +244,18 @@ class TestEncodeSegment:
             enc.encode_segment(buf, bank, enc.EncoderConfig(sps=3, fixed=(5, 28)))
         np.testing.assert_array_equal(buf.data, before)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("path", ["fft", "direct"])
+    def test_non_finite_sample_rejected(self, bank, value, path):
+        # the index is the one within the buffer, whatever its segment
+        samples = np.random.default_rng(3).uniform(-1, 1, 696)
+        samples[10] = value
+        buf = enc.SegmentBuffer.from_samples(samples, 7)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"non-finite sample {value} at index 10")):
+            enc.encode_segment(buf, bank, enc.EncoderConfig(sps=3, path=path))
+        np.testing.assert_array_equal(buf.data[:696], samples)
+
     def test_single_component_recovery(self, bank):
         buf = place_kernel(bank, 7, 100, 0.5)
         codes = enc.encode_segment(buf, bank, enc.EncoderConfig(sps=1))
@@ -534,6 +546,22 @@ class TestEncodeStream:
             enc.encode_stream(samples, bank,
                               enc.EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
 
+    @pytest.mark.parametrize("fixed", [None, (5, 28)])
+    def test_input_check_allocates_nothing(self, bank, monkeypatch, fixed):
+        # five minutes of samples: a check that built one boolean mask of
+        # the input would alone take 4.8 MB
+        monkeypatch.setenv("SPIKETRUM_THREADS", "1")
+        config = enc.EncoderConfig(sps=0, fixed=fixed)
+        samples = np.random.default_rng(28).uniform(-1, 1, 300 * 16000)
+        enc.encode_stream(samples[:2000], bank, config)  # fill lazy tables
+        tracemalloc.start()
+        try:
+            assert enc.encode_stream(samples, bank, config) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, peak
+
     def test_fixed_saturation_flag(self, bank):
         rng = np.random.default_rng(26)
         config = enc.EncoderConfig(sps=4, fixed=(5, 28))
@@ -568,6 +596,12 @@ class TestEncoderConfig:
             enc.EncoderConfig(threshold=-0.1)
         with pytest.raises(ValueError):
             enc.EncoderConfig(path="walsh")
+
+    def test_fixed_takes_no_path_but_the_default(self):
+        # the integer datapath has its own correlation: "direct" would be inert
+        with pytest.raises(ValueError, match="path 'direct' does not apply with fixed"):
+            enc.EncoderConfig(path="direct", fixed=(5, 28))
+        assert enc.EncoderConfig(path="fft", fixed=(5, 28)).path == "fft"
 
     def test_frozen_so_every_change_is_checked(self):
         config = enc.EncoderConfig(sps=4, fixed=(5, 28))

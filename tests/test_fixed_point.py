@@ -74,17 +74,11 @@ class TestToFixed:
         assert fx.to_fixed(-1.5 * 2.0 ** -28) == -2
 
     def test_saturation_sets_flag(self):
-        flag = fx.SaturationFlag()
-        assert fx.to_fixed(40.0, flag=flag) == 2 ** 33 - 1
-        assert flag
-        flag = fx.SaturationFlag()
-        assert fx.to_fixed(-40.0, flag=flag) == -(2 ** 33)
-        assert flag
-
-    def test_in_range_leaves_flag_clear(self):
-        flag = fx.SaturationFlag()
-        fx.to_fixed(np.linspace(-31.9, 31.9, 100), flag=flag)
-        assert not flag
+        # the primitives saturate without reporting it: only the value shows
+        assert fx.to_fixed(40.0) == 2 ** 33 - 1
+        assert fx.to_fixed(-40.0) == -(2 ** 33)
+        np.testing.assert_array_equal(fx.to_fixed(np.array([1e30, -np.inf, 31.9])),
+                                      [2 ** 33 - 1, -(2 ** 33), fx.to_fixed(31.9)])
 
     def test_round_trip_identity_on_grid(self):
         raw = np.arange(-1000, 1000, dtype=np.int64)
@@ -100,13 +94,11 @@ class TestQAdd:
         assert fx.q_add(fx.to_fixed(0.25), fx.to_fixed(0.5)) == fx.to_fixed(0.75)
 
     def test_saturates_and_flags(self):
-        flag = fx.SaturationFlag()
+        # saturation is reported by the value alone
         big = fx.to_fixed(31.0)
-        assert fx.q_add(big, big, flag=flag) == 2 ** 33 - 1
-        assert flag
-        flag = fx.SaturationFlag()
-        assert fx.q_add(-big, -big, flag=flag) == -(2 ** 33)
-        assert flag
+        assert fx.q_add(big, big) == 2 ** 33 - 1
+        assert fx.q_add(-big, -big) == -(2 ** 33)
+        assert fx.q_add(big, -big) == 0
 
     def test_vectorized(self):
         rng = np.random.default_rng(50)
@@ -135,10 +127,10 @@ class TestQMul:
         assert fx.q_mul(1, 2 ** 27) == 0
 
     def test_saturates_and_flags(self):
-        flag = fx.SaturationFlag()
+        # saturation is reported by the value alone
         big = fx.to_fixed(30.0)
-        assert fx.q_mul(big, big, flag=flag) == 2 ** 33 - 1
-        assert flag
+        assert fx.q_mul(big, big) == 2 ** 33 - 1
+        assert fx.q_mul(-big, big) == -(2 ** 33)
 
     def test_matches_model_q5_28(self):
         rng = np.random.default_rng(51)
@@ -323,6 +315,30 @@ class TestScreen:
 
 
 class TestEncodeSegmentFixed:
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite sample nan at index 10"),
+        (np.inf, "non-finite sample inf at index 10"),
+        (-np.inf, "non-finite sample -inf at index 10"),
+        (100.0, "sample 100.0 at index 10 outside the Q5.28 range "
+                "[-32.0, 31.99999999627471]"),
+        (-32.5, "sample -32.5 at index 10 outside the Q5.28 range "
+                "[-32.0, 31.99999999627471]")])
+    def test_bad_samples_rejected(self, bank, value, message):
+        # the index is the one within the buffer, whatever its segment
+        samples = np.random.default_rng(3).uniform(-1, 1, 696)
+        samples[10] = value
+        buf = SegmentBuffer.from_samples(samples, 7)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=4, fixed=(5, 28)))
+        np.testing.assert_array_equal(buf.data[:696], samples)
+
+    def test_non_finite_sample_reported_first(self, bank):
+        samples = np.zeros(696)
+        samples[[3, 10]] = [100.0, np.nan]
+        with pytest.raises(ValueError, match="non-finite sample nan at index 10"):
+            fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
+                                    EncoderConfig(sps=4, fixed=(5, 28)))
+
     def test_direct_call_checks_the_threshold(self, bank):
         samples = np.random.default_rng(59).uniform(-31.9, 31.9, 696)
         message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
@@ -340,15 +356,14 @@ class TestEncodeSegmentFixed:
 
     def test_zero_buffer_with_threshold(self, bank):
         buf = SegmentBuffer(np.zeros(2048))
-        config = EncoderConfig(sps=16, threshold=0.01, path="direct",
-                               fixed=(5, 28))
+        config = EncoderConfig(sps=16, threshold=0.01, fixed=(5, 28))
         assert fx.encode_segment_fixed(buf, bank, config) == []
 
     def test_recovers_placed_component(self, bank):
         buf = SegmentBuffer(np.zeros(2048))
         idx = (100 + np.arange(bank.kernel_length)) % 2048
         buf.data[idx] += 0.5 * bank.samples_matrix[7]
-        config = EncoderConfig(sps=1, path="direct", fixed=(5, 28))
+        config = EncoderConfig(sps=1, fixed=(5, 28))
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert len(codes) == 1
         assert (codes[0].m, codes[0].tau) == (7, 100)
@@ -357,7 +372,7 @@ class TestEncodeSegmentFixed:
     def test_buffer_holds_quantized_residual(self, bank):
         rng = np.random.default_rng(55)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=4, path="direct", fixed=(5, 28))
+        config = EncoderConfig(sps=4, fixed=(5, 28))
         fx.encode_segment_fixed(buf, bank, config)
         scaled = buf.data * fx.Q5_28.scale
         np.testing.assert_array_equal(scaled, np.rint(scaled))
@@ -365,9 +380,8 @@ class TestEncodeSegmentFixed:
     def test_energy_trace_net_decrease(self, bank):
         rng = np.random.default_rng(56)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=8, path="direct", fixed=(5, 28))
-        trace = []
-        codes = fx.encode_segment_fixed(buf, bank, config, energy_trace=trace)
+        config = EncoderConfig(sps=8, fixed=(5, 28))
+        (codes,), (trace,) = step_fixed(buf.data[None], 0, bank, config)
         assert len(trace) == len(codes) + 1
         assert trace[-1] < trace[0]
 
@@ -407,7 +421,7 @@ class TestEncodeSegmentFixed:
     def test_iteration_numbers(self, bank):
         rng = np.random.default_rng(57)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=5, path="direct", fixed=(5, 28))
+        config = EncoderConfig(sps=5, fixed=(5, 28))
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert [c.iteration for c in codes] == list(range(5))
 
@@ -435,14 +449,28 @@ def full_recompute_fixed(buffer, bank, config):
         codes.append(Code(m, tau, fx.to_float(s_raw, fmt),
                           buffer.segment_index, iteration))
         idx = (u + offsets) % FFT_SIZE
-        flag = fx.SaturationFlag()
-        product = fx.q_mul(s_raw, tables.kernel_raw[m], fmt, flag)
+        product = fx.q_mul(s_raw, tables.kernel_raw[m], fmt)
         update = raw[idx] - product
-        clips += bool(flag) or bool(np.any((update < fmt.raw_min)
-                                           | (update > fmt.raw_max)))
+        clips += bool(np.any((product != fx._rounded_product(s_raw, tables.kernel_raw[m], fmt))
+                             | (update < fmt.raw_min) | (update > fmt.raw_max)))
         raw[idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
     buffer.data[:] = fx.to_float(raw, fmt)
     return codes, clips
+
+
+def step_fixed(windows, first, bank, config):
+    """_encode_block_fixed one code at a time, config.sps times: the codes per
+    window, renumbered, and each window's residual energy before the first
+    step and after each of its codes. The windows end up as the residuals.
+    """
+    one_code = dataclasses.replace(config, sps=1)
+    windows[:] = fx.to_float(fx.to_fixed(windows))
+    codes, traces = [[] for _ in windows], [[float(x @ x)] for x in windows]
+    for iteration in range(config.sps):
+        for j, got in enumerate(fx._encode_block_fixed(windows, first, bank, one_code)):
+            codes[j] += [dataclasses.replace(c, iteration=iteration) for c in got]
+            traces[j] += [float(windows[j] @ windows[j])] * len(got)
+    return codes, traces
 
 
 def record_candidates(monkeypatch):
@@ -611,20 +639,30 @@ class TestBlockPursuitFixed:
         segments = self.segments()
         windows = encoder.segment_stream(np.concatenate(segments), 696)
         flag = fx.SaturationFlag()
-        traces = [[] for _ in segments]
-        codes = fx._encode_block_fixed(windows, 4, bank, config, flag, traces)  # segments 4-10
+        codes = fx._encode_block_fixed(windows, 4, bank, config, flag)  # segments 4-10
         assert {len(c) for c in codes} == {0, 5, 8}
         assert flag  # the full-scale noise clips
         for i, samples in enumerate(segments):
             alone = SegmentBuffer.from_samples(samples, 4 + i)
             full = SegmentBuffer.from_samples(samples, 4 + i)
-            trace, own = [], fx.SaturationFlag()
-            assert codes[i] == fx.encode_segment_fixed(alone, bank, config, trace, own)
+            own = fx.SaturationFlag()
+            assert codes[i] == fx.encode_segment_fixed(alone, bank, config, own)
             assert codes[i] == full_recompute_fixed(full, bank, config)[0]
             np.testing.assert_array_equal(windows[i], alone.data)
             np.testing.assert_array_equal(windows[i], full.data)
-            assert traces[i] == trace and len(trace) == len(codes[i]) + 1
             assert bool(own) == (i == 3)
+
+    def test_stepping_one_code_at_a_time_matches_one_call(self, bank):
+        # the engine keeps no state between calls beyond the residuals, so
+        # energies can be read between steps (as parity_harness does)
+        config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
+        windows = encoder.segment_stream(np.concatenate(self.segments()), 696)
+        stepped = windows.copy()
+        codes = fx._encode_block_fixed(windows, 4, bank, config)
+        steps, traces = step_fixed(stepped, 4, bank, config)
+        assert steps == codes
+        np.testing.assert_array_equal(stepped, windows)
+        assert [len(trace) for trace in traces] == [len(c) + 1 for c in codes]
 
     @pytest.mark.parametrize("sps", [1, 2])
     def test_saturated_products_in_a_mixed_block(self, bank, sps):

@@ -85,6 +85,19 @@ class TestGenerateGammatone:
         with pytest.raises(ValueError):
             kb.generate_gammatone(440.0, 16000.0, order=0)
 
+    def test_all_zero_kernel_is_an_error(self):
+        # one tap at t = 0 is t**(order - 1) = 0 for order > 1: no unit norm
+        message = "all-zero gammatone at 440.0 Hz, length 1, order 4"
+        with pytest.raises(ValueError, match=message):
+            kb.generate_gammatone(440.0, 16000.0, length=1, order=4)
+        message = "all-zero gammatone at 20.0 Hz, length 1, order 4"
+        with pytest.raises(ValueError, match=message):
+            kb.build_bank(kb.BankConfig(kernel_length=1))
+
+    def test_single_tap_first_order_is_a_bank_of_ones(self):
+        bank = kb.build_bank(kb.BankConfig(kernel_length=1, order=1))
+        np.testing.assert_array_equal(bank.samples_matrix, np.ones((40, 1)))
+
     def test_nyquist_center_allowed(self):
         g = kb.generate_gammatone(8000.0, 16000.0)
         assert np.isfinite(g).all()
