@@ -22,15 +22,38 @@ piece of bookkeeping (_RowBounds). Each (segment, row) pair carries an
 upper bound on its peak |r[m, :]|: its peak when last transformed,
 raised after every code by a step bounding how far that subtraction
 moves the row at any lag (here |s| * bank.peak_bound[n, m] for a code
-(n, tau, s); +inf forces a full refresh). Each iteration takes one rfft
-of the block's live residuals, gathers the pairs whose bound plus the
-datapath's cut reaches their segment's best refreshed peak, and
-inverse-transforms them _CHUNK at a time through a workspace allocated
-once per block. Each chunk is reduced on the spot to per-pair results
-(here the peak, its first lag and the value there), so no (40, 2048) row
-matrix is kept. A segment's winner is the smallest kernel index at its
-best peak, then that row's first lag; one fancy-indexed update subtracts
-the codes of the whole block, and segments that stop leave the block.
+(n, tau, s); +inf leaves only the cap below), and capped every iteration
+by a bound read from the residual's spectrum. Each iteration takes one
+rfft of the block's live residuals, caps the bounds, gathers the pairs
+whose bound plus the datapath's cut reaches their segment's best
+refreshed peak, and inverse-transforms them _CHUNK at a time through a
+workspace allocated once per block. Each chunk is reduced on the spot to
+per-pair results (here the peak, its first lag and the value there), so
+no (40, 2048) row matrix is kept. A segment's winner is the smallest
+kernel index at its best peak, then that row's first lag; each code is
+subtracted through two slices of its row, the kernel's taps before and
+after the circular wrap, and segments that stop leave the block.
+
+The cap. Row m is the inverse transform of X * conj(K_m), X the rfft of
+the residual and K_m the kernel's, so in exact arithmetic every
+|r[m, u]| <= (1/2048) * sum_k w_k * |X_k| * |K_m(k)|, w_k being 1 at DC
+and Nyquist and 2 elsewhere: |X| @ bank.spectrum_bound[m], one small
+matrix product on the rfft the iteration takes anyway. Rounding in the
+products and sums of that bound sits inside spectrum_bound's relative
+1e-9. The computed X differs from the exact one by an FFT error of
+relative norm eta (about 1e-15; see fixed_point), which by Parseval and
+Cauchy-Schwarz moves the cap by at most eta * ||x|| * ||k_m||, and the
+computed row by as much: far inside the cut, _ROUNDING_SLACK of the
+segment's norm. Each pair also carries a floor, a lower bound on its peak
+that only chooses the pairs a refresh starts with, those whose bound
+reaches their segment's largest floor: the first refresh seeds it with
+the row's root mean square, sqrt(sum_k w_k * |X_k|**2 * |K_m(k)|**2) /
+2048 by Parseval (its DC and Nyquist terms halved), and every code lowers
+it by the step. A wrong floor costs refreshes, never a code, since
+refreshing goes on until no stale bound can reach; so the floor needs no
+soundness, only a clamp to its own bound, which keeps the pair with the
+largest floor in the first set when rounding (or a clipped fixed-point
+screen, which the floor does not see) puts the floor above the bound.
 
 Codes and residuals are bit for bit those of a full recompute of each
 segment alone: each row is transformed and reduced on its own, so its
@@ -262,8 +285,8 @@ def _encode_block(windows, first, bank, config):
     x = windows  # pursued in place until a stop compacts x into a copy
     energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
     slack = _ROUNDING_SLACK * np.sqrt(np.einsum("ij,ij->i", x, x) * energy) * (1.0 + energy)
-    offsets = np.arange(bank.kernel_length)
-    rows = _RowBounds(len(windows), bank.kernel_count)
+    length = bank.kernel_length
+    rows = _RowBounds(len(windows), bank.spectrum_bound)
     codes = [[] for _ in windows]
     for iteration in range(config.sps):
         rows.refresh(np.fft.rfft(x, axis=1), lambda kernels, spectra, prod, out:
@@ -277,10 +300,13 @@ def _encode_block(windows, first, bank, config):
             x, slack, m, u, s = x[keep], slack[keep], m[keep], u[keep], s[keep]
             if not keep.any():
                 break
-        _emit(codes, first, rows.live, m, u, s.tolist(), iteration)
-        seg = np.arange(len(m))[:, None]
-        idx = (u[:, None] + offsets) % FFT_SIZE
-        x[seg, idx] -= s[:, None] * bank.samples_matrix[m]
+        values = s.tolist()
+        _emit(codes, first, rows.live, m, u, values, iteration)
+        for j, (n, lag, value) in enumerate(zip(m.tolist(), u.tolist(), values)):
+            head = min(length, FFT_SIZE - lag)  # taps before the wrap
+            taps = bank.samples_matrix[n]
+            x[j, lag:lag + head] -= value * taps[:head]
+            x[j, :length - head] -= value * taps[head:]
         rows.raise_bounds(np.abs(s)[:, None] * bank.peak_bound[m])
     rows.retire(np.ones(len(rows.live), dtype=bool), windows, x)
     return codes
@@ -308,11 +334,13 @@ class _RowBounds:
     """Peak bounds of every (segment, row) pair over a block's lockstep pursuit.
 
     Arrays are (live segments, rows); segments that stop are dropped from
-    them (retire). The chunk workspace is allocated once per block.
+    them (retire). table is the bank's spectrum_bound, in the units of the
+    spectra refresh receives. The chunk workspace is allocated once per block.
     """
 
-    def __init__(self, segments, count):
-        shape = (segments, count)
+    def __init__(self, segments, table):
+        shape = (segments, len(table))
+        self.table = table
         self.live = np.arange(segments)      # block position of each live segment
         self.peak = np.empty(shape)          # max |r| if refreshed this iteration, else -1
         self.top = np.empty(shape)           # the key the winner maximizes, else -1
@@ -320,7 +348,7 @@ class _RowBounds:
         self.value = np.empty(shape)         # r (or the exact value) at that lag
         self.bound = np.full(shape, np.inf)  # >= the peak if refreshed now
         self.floor = np.zeros(shape)         # <= that peak, up to the cut
-        self.first = np.ones(shape, dtype=bool)  # pairs the next refresh starts with
+        self.seeded = False                  # whether a refresh has seeded the floors
         self.spectra = np.empty((_CHUNK, FFT_SIZE // 2 + 1), dtype=complex)
         self.prod = np.empty_like(self.spectra)
         self.rows = np.empty((_CHUNK, FFT_SIZE))
@@ -332,13 +360,26 @@ class _RowBounds:
         spectra holds one spectrum per live segment. correlate(kernels,
         spectra, prod, out) writes the rows of a chunk of pairs into out;
         reduce(segments, kernels, rows) returns the chunk's peak, top, lag
-        and value per pair.
+        and value per pair. Every bound is first capped by the spectrum's
+        own bound, |spectra| @ table.T; the first refresh seeds each floor
+        with the row's root mean square. The refresh starts with the pairs
+        that reach their segment's largest floor, a lower bound on its best
+        peak; the clamp of each floor to its bound keeps the pair with the
+        largest floor among them.
         """
+        magnitude = np.abs(spectra)
+        np.minimum(self.bound, magnitude @ self.table.T, out=self.bound)
+        if not self.seeded:
+            # table**2 / 2 is w_k |K_n(k)|**2 / 2048**2 up to the slack, halved
+            # at DC and Nyquist: the root is at most row n's rms, so its peak
+            self.floor = np.sqrt(np.square(magnitude) @ np.square(self.table).T / 2.0)
+            self.seeded = True
+        np.minimum(self.floor, self.bound, out=self.floor)
         peak, top = self.peak, self.top
         peak.fill(-1.0)
         top.fill(-1.0)
         stale = self.bound + cut[:, None]
-        todo = self.first
+        todo = self.bound >= self.floor.max(axis=1)[:, None]
         while todo.any():
             seg, row = np.nonzero(todo)
             for lo in range(0, len(seg), _CHUNK):
@@ -359,18 +400,16 @@ class _RowBounds:
         return m, self.lag[pair, m], self.value[pair, m]
 
     def raise_bounds(self, step):
-        """Raise the bounds by step (segments, rows) after the subtractions;
-        +inf refreshes a pair next. The next refresh starts with the pairs
-        that reach the largest floor, a lower bound on the best peak."""
+        """Raise the bounds and lower the floors by step (segments, rows)
+        after the subtractions; +inf leaves a pair only the spectrum's cap."""
         self.bound += step
         self.floor -= step
-        self.first = self.bound >= self.floor.max(axis=1)[:, None]
 
     def retire(self, done, windows, residuals):
         """Write the residuals of the done segments back into windows and drop them."""
         windows[self.live[done]] = residuals[done]
         keep = ~done
-        for name in ("live", "peak", "top", "lag", "value", "bound", "floor", "first"):
+        for name in ("live", "peak", "top", "lag", "value", "bound", "floor"):
             setattr(self, name, getattr(self, name)[keep])
 
 

@@ -46,7 +46,20 @@ product's rounding, the rest the screen's error before and after and the
 exact values' rounding. Clipping only shrinks differences; a subtraction
 whose product or residual clips is no longer s times a kernel, so its
 step is +inf (a product clips where its saturated value differs from the
-rounded one). Codes and residual are bit-identical to an exact full
+rounded one), which leaves the pair only the cap.
+
+The cap is |rfft(raw)| @ the quantized bank's spectrum_bound (encoder
+module docstring): in exact arithmetic it bounds the real correlation of
+raw with k_q at every lag, so every exact integer, that correlation
+rounded once and clipped, lies within 0.5 of it. The rfft's rounding
+moves the cap by at most about 8e-15 * ||raw||_2 * ||k_q||_2, far below
+delta. A pair whose cap plus the cut 1 + 2 * delta stays below its
+segment's best peak screen P therefore holds no exact value above
+cap + 0.5 + delta < P - 0.5 - delta, where the best row's exact maximum
+lies, and cannot win. The cap does not see the screen's clip, so the
+root-mean-square floor can exceed a clipped peak; floors need no
+soundness, and their clamp to the bounds keeps every refresh from
+starting empty. Codes and residual are bit-identical to an exact full
 recompute of each segment alone.
 """
 
@@ -136,10 +149,11 @@ def _as_result(raw, scalar):
 def to_fixed(x, fmt=Q5_28):
     """Quantize real values to raw integers: round to nearest even, saturate."""
     scalar = np.ndim(x) == 0
-    scaled = np.rint(np.asarray(x, dtype=np.float64) * fmt.scale)
-    # clip in float first; the bounds are exactly representable in float64
-    raw = np.clip(scaled, fmt.raw_min, fmt.raw_max).astype(np.int64)
-    return _as_result(raw, scalar)
+    # clip the real value first, so that scaling cannot overflow: the bounds
+    # and their products with the power-of-two scale are exact in float64
+    real = np.clip(np.asarray(x, dtype=np.float64), fmt.raw_min / fmt.scale,
+                   fmt.raw_max / fmt.scale)
+    return _as_result(np.rint(real * fmt.scale).astype(np.int64), scalar)
 
 
 def to_float(raw, fmt=Q5_28):
@@ -276,9 +290,9 @@ def _exact_peak(screen, cut, delta, exact_row):
     within delta of a half-integer: then the row's candidates take
     exact_row(j, lags).
     """
-    peak = np.maximum(screen.max(axis=1), -screen.min(axis=1))
-    low = (peak - cut)[:, None]
-    row, lag = np.nonzero((screen >= low) | (screen <= -low))
+    magnitude = np.abs(screen)
+    peak = magnitude.max(axis=1)
+    row, lag = np.nonzero(magnitude >= (peak - cut)[:, None])
     values = screen[row, lag]
     exact = np.rint(values)
     # a set, not np.unique, which imports numpy.ma (tens of ms, 1.7 MB)
@@ -333,8 +347,8 @@ def _encode_block_fixed(windows, first, bank, config, flag=None):
     tables = _tables_for(bank, fmt)
     raw = to_fixed(windows, fmt)
     threshold_raw = to_fixed(config.threshold, fmt)
-    offsets = np.arange(bank.kernel_length)
-    rows = _RowBounds(len(windows), bank.kernel_count)
+    length = bank.kernel_length
+    rows = _RowBounds(len(windows), tables.bank.spectrum_bound)
     codes = [[] for _ in windows]
 
     def reduce(segments, kernels, screen):
@@ -363,17 +377,24 @@ def _encode_block_fixed(windows, first, bank, config, flag=None):
         if flag is not None and np.any((s_raw == fmt.raw_min) | (s_raw == fmt.raw_max)):
             flag.seen = True
         _emit(codes, first, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
-        seg = np.arange(len(m))[:, None]
-        idx = (u[:, None] + offsets) % FFT_SIZE
+        # each row's taps as two slices, before and after the circular wrap
+        slices = [(j, lag, min(length, FFT_SIZE - lag)) for j, lag in enumerate(u.tolist())]
+        window = np.empty((len(m), length), dtype=np.int64)
+        for j, lag, head in slices:
+            window[j, :head] = raw[j, lag:lag + head]
+            window[j, head:] = raw[j, :length - head]
         wide = _rounded_product(s_raw[:, None], tables.kernel_raw[m], fmt)
         product = np.clip(wide, fmt.raw_min, fmt.raw_max)
-        update = raw[seg, idx] - product
+        update = window - product
         over = np.any((product != wide) | (update < fmt.raw_min) | (update > fmt.raw_max),
                       axis=1)
-        raw[seg, idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
+        np.clip(update, fmt.raw_min, fmt.raw_max, out=window)
+        for j, lag, head in slices:
+            raw[j, lag:lag + head] = window[j, :head]
+            raw[j, :length - head] = window[j, head:]
         if flag is not None and over.any():
             flag.seen = True
-        # a clipped update is no longer s times a kernel: refresh every row
+        # a clipped update is no longer s times a kernel: only the cap bounds a row
         step = _peak_step(tables, m, s_raw[:, None])
         step[over] = np.inf
         rows.raise_bounds(step)

@@ -31,7 +31,7 @@ _ERB_Q = 21.4
 _ERB_SCALE = 4.37
 _BANDWIDTH_FACTOR = 1.019
 
-# relative margin on peak_bound for rounding in its sum and in the FFTs
+# relative margin on spectrum_bound for rounding in its sums and in the FFTs
 _BOUND_SLACK = 1e-9
 _NORM_TOLERANCE = 1e-9  # |L2 norm - 1| allowed on load (generated kernels: ~1e-16)
 
@@ -160,11 +160,15 @@ class KernelBank:
     frequencies in Hz. ``conj_spectra`` holds the conjugated
     nonnegative-frequency half of each row's 2048-point transform,
     zero-padded (the waveforms are real, so the negative half is redundant
-    by conjugate symmetry). ``peak_bound[m, n]`` bounds the peak over all
-    lags of the circular cross-correlation of kernels m and n (see
-    :func:`cross_peak_bound`); both pursuit loops prune with it. Treat as
-    read-only after construction; encoders on any number of threads may
-    share one bank.
+    by conjugate symmetry). ``spectrum_bound`` holds one row per kernel,
+    (1/2048) * w_k * |K_n(k)| raised by a relative 1e-9 (see
+    :func:`spectrum_bound`): for any real 2048-sample window with rfft X,
+    ``|X| @ spectrum_bound[n]`` bounds the peak over all lags of its
+    circular correlation with kernel n. ``peak_bound[m, n]``, the same
+    bound with kernel m as the window, bounds the peak of the circular
+    cross-correlation of kernels m and n. Both pursuit loops prune with
+    both. Treat as read-only after construction; encoders on any number of
+    threads may share one bank.
     """
 
     samples_matrix: np.ndarray = field(repr=False)
@@ -174,13 +178,18 @@ class KernelBank:
     fmax: float = DEFAULT_FMAX
     order: int = DEFAULT_ORDER
     conj_spectra: np.ndarray = field(init=False, repr=False)
+    spectrum_bound: np.ndarray = field(init=False, repr=False)
     peak_bound: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_shape(*self.samples_matrix.shape)
         self.conj_spectra = np.conj(
             np.fft.rfft(self.samples_matrix, n=FFT_SIZE, axis=1))
-        self.peak_bound = cross_peak_bound(self.conj_spectra)
+        self.spectrum_bound = spectrum_bound(self.conj_spectra)
+        # einsum rather than @: a BLAS product allocates BLAS work buffers
+        # that the decode-only paths otherwise never need
+        self.peak_bound = np.einsum("mk,nk->mn", self.spectrum_bound,
+                                    np.abs(self.conj_spectra))
 
     @property
     def kernel_count(self):
@@ -204,22 +213,23 @@ def _check_shape(count, length):
         raise ValueError(f"kernel length {length} outside [1, {FFT_SIZE}]")
 
 
-def cross_peak_bound(spectra):
-    """Bound on the peak over all lags of every pair's circular cross-correlation.
+def spectrum_bound(spectra):
+    """Per kernel, the weights that bound a window's correlation peak by its spectrum.
 
     spectra holds one row per kernel: the nonnegative-frequency half of its
-    FFT_SIZE-point transform (conjugated or not). Entry [m, n] is (1/2048)
-    * sum_k w_k * |K_m(k)| * |K_n(k)|, where w_k is 1 at DC and Nyquist and
-    2 elsewhere, raised by a relative 1e-9 so that rounding never pulls it
-    below the peak an FFT computes.
+    FFT_SIZE-point transform (conjugated or not). Entry [n, k] is (1/2048)
+    * w_k * |K_n(k)|, where w_k is 1 at DC and Nyquist and 2 elsewhere (the
+    bins that stand for two of the full transform), raised by a relative
+    1e-9 so that rounding in the sums and the FFTs never pulls a bound
+    below the peak an FFT computes. The circular correlation r of a real
+    window with rfft X and kernel n is the inverse transform of X times
+    conj(K_n), so by the triangle inequality every |r(u)| is at most
+    sum_k (1/2048) * w_k * |X_k| * |K_n(k)|: |X| @ row n.
     """
-    magnitude = np.abs(spectra)
-    weight = np.full(magnitude.shape[1], 2.0)
-    weight[[0, -1]] = 1.0
-    # einsum rather than @: a BLAS product allocates BLAS work buffers
-    # that the transform-only encode paths otherwise never need
-    return np.einsum("mk,nk->mn", magnitude * weight, magnitude) * (
-        (1.0 + _BOUND_SLACK) / FFT_SIZE)
+    table = np.abs(spectra)
+    table[:, 1:-1] *= 2.0
+    table *= (1.0 + _BOUND_SLACK) / FFT_SIZE
+    return table
 
 
 def build_bank(config=None):

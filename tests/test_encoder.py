@@ -330,6 +330,19 @@ class TestPrunedRefresh:
             cross = np.fft.irfft(np.conj(spectra[m]) * spectra, n=enc.FFT_SIZE, axis=1)
             assert np.all(bank.peak_bound[m] >= np.max(np.abs(cross), axis=1))
 
+    def test_spectrum_bound_caps_every_row(self, bank):
+        # noise, a tone and a +-31.9 square wave: no row of the transform
+        # correlation peaks above |X| @ spectrum_bound.T
+        rng = np.random.default_rng(35)
+        t = np.arange(696) / 16000.0
+        windows = enc.segment_stream(np.concatenate(
+            [rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
+             31.9 * np.sign(rng.uniform(-1, 1, 696))]), 696)
+        caps = np.abs(np.fft.rfft(windows, axis=1)) @ bank.spectrum_bound.T
+        for x, cap in zip(windows, caps):
+            peaks = np.max(np.abs(enc.correlate_all_fft(enc.SegmentBuffer(x), bank)), axis=1)
+            assert np.all(peaks <= cap)
+
     def assert_parity(self, bank, samples, config, segment_index=0):
         pruned = enc.SegmentBuffer.from_samples(samples, segment_index)
         full = enc.SegmentBuffer.from_samples(samples, segment_index)
@@ -366,6 +379,43 @@ class TestPrunedRefresh:
         codes = self.assert_parity(bank, samples,
                                    enc.EncoderConfig(sps=64, threshold=0.07))
         assert 0 < len(codes) < 64
+
+    def test_cap_prunes_the_first_refresh_of_a_tone(self, bank, monkeypatch):
+        rows = []
+        original = enc.correlate_all_fft
+
+        def counting(buffer, bank, chunk=slice(None), *args):
+            rows.append(np.size(np.arange(bank.kernel_count)[chunk]))
+            return original(buffer, bank, chunk, *args)
+
+        monkeypatch.setattr(enc, "correlate_all_fft", counting)
+        tone = 0.3 * np.sin(2 * np.pi * 440 * np.arange(696) / 16000.0)
+        for sps in (1, 16):
+            pruned = enc.SegmentBuffer.from_samples(tone)
+            rows.clear()
+            codes = enc.encode_segment(pruned, bank, enc.EncoderConfig(sps=sps))
+            if sps == 1:  # one refresh: the cap leaves out the far kernels
+                assert sum(rows) < bank.kernel_count
+            full = enc.SegmentBuffer.from_samples(tone)
+            assert codes == full_recompute(full, bank, enc.EncoderConfig(sps=sps))
+            np.testing.assert_array_equal(pruned.data, full.data)
+
+    def test_floor_above_its_bound_still_refreshes_the_winner(self, bank):
+        # Floors are no bounds: rounding can leave one above its pair's
+        # bound (here every floor, at twice the cap). Clamped to the bounds,
+        # they still start the refresh with the pair of the largest floor.
+        x = np.random.default_rng(36).uniform(-1, 1, (1, enc.FFT_SIZE))
+        spectra = np.fft.rfft(x, axis=1)
+        rows = enc._RowBounds(1, bank.spectrum_bound)
+        rows.seeded = True
+        rows.floor[:] = 2.0 * np.abs(spectra) @ bank.spectrum_bound.T
+        rows.refresh(spectra, lambda kernels, spectra, prod, out: enc.correlate_all_fft(
+            None, bank, kernels, spectra, prod, out), enc._peak_lag_value,
+            np.full(1, 1e-9 * np.linalg.norm(x)))
+        m, u, s = rows.pick()
+        want = enc.find_best_code(enc.correlate_all_fft(enc.SegmentBuffer(x[0]), bank))
+        assert (int(m[0]), int(u[0]), float(s[0])) == (want.m, want.tau % enc.FFT_SIZE,
+                                                       want.s)
 
     def test_refreshes_fewer_rows_than_full_recompute(self, bank, monkeypatch):
         rows = []

@@ -80,6 +80,24 @@ class TestToFixed:
         np.testing.assert_array_equal(fx.to_fixed(np.array([1e30, -np.inf, 31.9])),
                                       [2 ** 33 - 1, -(2 ** 33), fx.to_fixed(31.9)])
 
+    def test_huge_values_saturate_without_overflow(self):
+        # scaled before the clip, these would overflow to inf and warn
+        big = np.finfo(np.float64).max
+        np.testing.assert_array_equal(fx.to_fixed(np.array([1e300, -1e300, big, -big])),
+                                      [2 ** 33 - 1, -(2 ** 33), 2 ** 33 - 1, -(2 ** 33)])
+        assert fx.to_fixed(-big, fx.QFormat(0, 33)) == -(2 ** 33)
+
+    @pytest.mark.parametrize("fmt", [fx.Q5_28, Q20_13, fx.QFormat(0, 33)])
+    def test_in_range_grid_keeps_its_bytes(self, fmt):
+        # the reference scales, rounds, then clips: in range the order cannot matter
+        rng = np.random.default_rng(5)
+        low, high = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+        grid = np.concatenate([np.linspace(low, high, 10001), [low, high],
+                               (np.arange(-2000, 2000) + 0.5) / fmt.scale,
+                               rng.uniform(low, high, 10000)])
+        want = np.clip(np.rint(grid * fmt.scale), fmt.raw_min, fmt.raw_max).astype(np.int64)
+        assert fx.to_fixed(grid, fmt).tobytes() == want.tobytes()
+
     def test_round_trip_identity_on_grid(self):
         raw = np.arange(-1000, 1000, dtype=np.int64)
         np.testing.assert_array_equal(fx.to_fixed(fx.to_float(raw)), raw)
@@ -572,6 +590,56 @@ class TestPrunedRefreshFixed:
         for m in range(bank.kernel_count):
             cross = np.fft.irfft(spectra[m] * np.conj(spectra), n=FFT_SIZE, axis=1)
             assert np.all(tables.bank.peak_bound[m] >= np.max(np.abs(cross), axis=1))
+
+    def test_spectrum_bound_caps_every_screen(self, bank):
+        # noise, a tone and a +-31.9 square wave, whose screens clip: no
+        # row's peak |screen| lies above |rfft(raw)| @ the quantized bank's cap
+        tables = fx._tables_for(bank, fx.Q5_28)
+        rng = np.random.default_rng(67)
+        t = np.arange(696) / 16000.0
+        windows = encoder.segment_stream(np.concatenate(
+            [rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
+             31.9 * np.sign(rng.uniform(-1, 1, 696))]), 696)
+        rows = np.arange(bank.kernel_count)
+        spectra = np.fft.rfft(fx.to_fixed(windows).astype(np.float64), axis=1)
+        caps = np.abs(spectra) @ tables.bank.spectrum_bound.T
+        prod = np.empty((bank.kernel_count, FFT_SIZE // 2 + 1), dtype=complex)
+        out = np.empty((bank.kernel_count, FFT_SIZE))
+        for spectrum, cap in zip(spectra, caps):
+            screen = fx._correlate_raw_fft(spectrum, tables, fx.Q5_28, rows, prod, out)
+            assert np.all(np.max(np.abs(screen), axis=1) <= cap)
+
+    def test_cap_prunes_the_first_refresh_of_a_tone(self, bank, monkeypatch):
+        rows = []
+        original = fx._correlate_raw_fft
+
+        def counting(spectrum, tables, fmt, chunk, prod, out):
+            rows.append(len(chunk))
+            return original(spectrum, tables, fmt, chunk, prod, out)
+
+        monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
+        tone = 0.3 * np.sin(2 * np.pi * 440 * np.arange(696) / 16000.0)
+        for sps in (1, 16):
+            rows.clear()
+            self.assert_parity(bank, tone, EncoderConfig(sps=sps, fixed=(5, 28)))
+            if sps == 1:  # one refresh: the cap leaves out the far kernels
+                assert sum(rows) < bank.kernel_count
+
+    @pytest.mark.parametrize("sps", [2, 8])
+    def test_loud_tone_past_the_format(self, bank, sps):
+        # A 0.9 tone at 440 Hz correlates far past Q0.33's range of [-1, 1):
+        # the screens clip, while the caps and the root-mean-square floors,
+        # read from the unclipped spectrum, do not, so floors sit above
+        # clipped peaks. The codes stay those of the exact recompute.
+        t = np.arange(3200) / 16000.0
+        samples = 0.9 * np.sin(2 * np.pi * 440.0 * t)
+        config = EncoderConfig(sps=sps, fixed=(0, 33))
+        windows = encoder.segment_stream(samples, 696)
+        codes = fx._encode_block_fixed(windows, 0, bank, config)
+        for i in range(len(windows)):
+            full = SegmentBuffer.from_samples(samples[696 * i:696 * (i + 1)], i)
+            assert codes[i] == full_recompute_fixed(full, bank, config)[0]
+            np.testing.assert_array_equal(windows[i], full.data)
 
     def test_step_bounds_the_change_of_every_row(self, bank):
         # Over all 1600 kernel pairs (m, n): subtracting a product within half
