@@ -15,24 +15,28 @@ an exact orthogonal projection: the residual energy drops by s**2 per
 iteration. The transform path and the sliding-dot-product path compute the
 same quantity and stay interchangeable.
 
-The float and the fixed-point loop pursue a block of segments in
-lockstep, so that one round of numpy calls serves every segment in the
-block, and refresh only the kernel rows that can still win, through one
-piece of bookkeeping (_RowBounds). Each (segment, row) pair carries an
-upper bound on its peak |r[m, :]|: its peak when last transformed,
-raised after every code by a step bounding how far that subtraction
-moves the row at any lag (here |s| * bank.peak_bound[n, m] for a code
-(n, tau, s); +inf leaves only the cap below), and capped every iteration
-by a bound read from the residual's spectrum. Each iteration takes one
-rfft of the block's live residuals, caps the bounds, gathers the pairs
-whose bound plus the datapath's cut reaches their segment's best
-refreshed peak, and inverse-transforms them _CHUNK at a time through a
-workspace allocated once per block. Each chunk is reduced on the spot to
-per-pair results (here the peak, its first lag and the value there), so
-no (40, 2048) row matrix is kept. A segment's winner is the smallest
-kernel index at its best peak, then that row's first lag; each code is
-subtracted through two slices of its row, the kernel's taps before and
-after the circular wrap, and segments that stop leave the block.
+One loop (_encode_block) pursues a block of segments in lockstep, so
+that one round of numpy calls serves every segment in the block, on
+either datapath: the float reference (_Float) or the 34-bit integer one
+(fixed_point._Fixed). A datapath holds only what differs: units,
+threshold and cut, the bank whose spectrum_bound caps the bounds, the
+chunk correlate and reduce, and the subtraction. The loop refreshes only
+the kernel rows that can still win (_RowBounds). Each (segment, row)
+pair carries an upper bound on its peak |r[m, :]|: its peak when last
+transformed, raised after every code by a step bounding how far that
+subtraction moves the row at any lag (here |s| * bank.peak_bound[n, m]
+for a code (n, tau, s); +inf leaves only the cap below), and capped
+every iteration by a bound read from the residual's spectrum. Each
+iteration takes one rfft of the block's live residuals, caps the bounds,
+gathers the pairs whose bound plus the datapath's cut reaches their
+segment's best refreshed peak, and inverse-transforms them _CHUNK at a
+time through a workspace allocated once per block. Each chunk is reduced
+on the spot to per-pair results (here the peak, its first lag and the
+value there), so no (40, 2048) row matrix is kept. A segment's winner is
+the smallest kernel index at its best peak, then that row's first lag.
+Each code's taps, two slices of its row before and after the circular
+wrap, are gathered into one (codes, taps) window for the datapath to
+subtract from; stopped segments leave the block.
 
 The cap. Row m is the inverse transform of X * conj(K_m), X the rfft of
 the residual and K_m the kernel's, so in exact arithmetic every
@@ -66,6 +70,7 @@ time, and is the oracle.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,6 +133,10 @@ class EncoderConfig:
     fixed: tuple[int, int] | None = None
 
     def __post_init__(self):
+        try:
+            operator.index(self.sps)  # numpy integers pass, floats do not
+        except TypeError:
+            raise ValueError(f"sps must be an integer, got {self.sps!r}") from None
         if not 0 <= self.sps <= FFT_SIZE:
             raise ValueError(f"sps must be in [0, {FFT_SIZE}], got {self.sps}")
         if not (np.isfinite(self.threshold) and self.threshold >= 0):
@@ -261,73 +270,96 @@ def encode_segment(buffer, bank, config):
     Stops after config.sps codes or on the first response below the
     feedback threshold, which is discarded rather than emitted, so every
     returned code satisfies |s| >= threshold. A one-buffer block of the
-    lockstep pursuit (see the module docstring) on the FFT path; the
-    direct path recomputes every row every iteration and is the oracle
-    the FFT path is checked against. Samples are checked as by
-    encode_stream. A fixed-point config is an error.
+    lockstep pursuit (see the module docstring) on the datapath config
+    picks; the direct path recomputes every row every iteration and is the
+    oracle. Samples are checked as by encode_stream.
     """
-    if config.fixed is not None:
-        raise ValueError("encode_segment is the float datapath; a fixed-point config "
-                         "(config.fixed) needs fixed_point.encode_segment_fixed")
     _check_samples(buffer.data, config)
     return _encode_block(buffer.data[None], buffer.segment_index, bank, config)[0]
 
 
-def _encode_block(windows, first, bank, config):
+def _encode_block(windows, first, bank, config, flag=None):
     """Pursue a block of windows in lockstep; one code list per window.
 
     Row j of windows (see segment_stream) holds segment first + j and ends
-    up holding its residual, exactly as if it had been pursued on its own.
+    up holding its residual, exactly as if it had been pursued on its own;
+    flag is as for encode_stream.
     """
     if config.path == "direct":
         return [_encode_segment_direct(SegmentBuffer(x, first + j), bank, config)
                 for j, x in enumerate(windows)]
-    x = windows  # pursued in place until a stop compacts x into a copy
-    energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
-    slack = _ROUNDING_SLACK * np.sqrt(np.einsum("ij,ij->i", x, x) * energy) * (1.0 + energy)
+    if config.fixed is None:
+        path = _Float(windows, bank, config)
+    else:
+        from .fixed_point import _Fixed  # deferred: fixed_point imports this module
+
+        path = _Fixed(bank, config, flag)
+    x = path.units(windows)  # the float path pursues windows in place
     length = bank.kernel_length
-    rows = _RowBounds(len(windows), bank.spectrum_bound)
+    rows = _RowBounds(len(windows), path.bank.spectrum_bound)
     codes = [[] for _ in windows]
     for iteration in range(config.sps):
-        rows.refresh(np.fft.rfft(x, axis=1), lambda kernels, spectra, prod, out:
-                     correlate_all_fft(None, bank, kernels, spectra, prod, out),
-                     _peak_lag_value, slack)
+        rows.refresh(np.fft.rfft(x, axis=1), path, path.cut(x, rows.live))
         m, u, s = rows.pick()
-        stop = np.abs(s) < config.threshold
+        stop = np.abs(s) < path.threshold
         if stop.any():
-            rows.retire(stop, windows, x)
-            keep = ~stop
-            x, slack, m, u, s = x[keep], slack[keep], m[keep], u[keep], s[keep]
-            if not keep.any():
+            windows[rows.live[stop]] = path.real(x[stop])
+            rows.retire(stop)
+            x, m, u, s = (a[~stop] for a in (x, m, u, s))
+            if stop.all():
                 break
-        values = s.tolist()
-        _emit(codes, first, rows.live, m, u, values, iteration)
-        for j, (n, lag, value) in enumerate(zip(m.tolist(), u.tolist(), values)):
-            head = min(length, FFT_SIZE - lag)  # taps before the wrap
-            taps = bank.samples_matrix[n]
-            x[j, lag:lag + head] -= value * taps[:head]
-            x[j, :length - head] -= value * taps[head:]
-        rows.raise_bounds(np.abs(s)[:, None] * bank.peak_bound[m])
-    rows.retire(np.ones(len(rows.live), dtype=bool), windows, x)
+        tau = np.where(u < MAX_SHIFT, u, u - FFT_SIZE)
+        for j, n, shift, value in zip(rows.live.tolist(), m.tolist(), tau.tolist(),
+                                      path.real(s).tolist()):
+            codes[j].append(Code(n, shift, value, first + j, iteration))
+        # each code's taps as two slices of its row, before and after the wrap
+        slices = [(j, lag, min(length, FFT_SIZE - lag)) for j, lag in enumerate(u.tolist())]
+        window = np.empty((len(m), length))
+        for j, lag, head in slices:
+            window[j, :head] = x[j, lag:lag + head]
+            window[j, head:] = x[j, :length - head]
+        window, step = path.subtract(window, m, s)
+        for j, lag, head in slices:
+            x[j, lag:lag + head] = window[j, :head]
+            x[j, :length - head] = window[j, head:]
+        rows.raise_bounds(step)
+    windows[rows.live] = path.real(x)
     return codes
 
 
-def _peak_lag_value(segments, kernels, r):
-    """Float chunk reduction: per pair the peak |r|, its first lag and r there."""
-    pair = np.arange(len(r))
-    up, down = r.argmax(axis=1), r.argmin(axis=1)
-    high, low = r[pair, up], -r[pair, down]
-    # |r| peaks first at the earlier of the two extremes that reach it
-    use_down = (low > high) | ((low == high) & (down < up))
-    peak = np.maximum(high, low)
-    return peak, peak, np.where(use_down, down, up), np.where(use_down, -low, high)
+class _Float:
+    """The float datapath of _encode_block: real units, the bank as given."""
 
+    units = real = staticmethod(np.asarray)  # the residuals are the windows
 
-def _emit(codes, first, live, m, u, s, iteration):
-    """Append one code per live segment: kernel m at lag u with intensity s."""
-    tau = np.where(u < MAX_SHIFT, u, u - FFT_SIZE)
-    for j, kernel, shift, value in zip(live.tolist(), m.tolist(), tau.tolist(), s):
-        codes[j].append(Code(kernel, shift, value, first + j, iteration))
+    def __init__(self, windows, bank, config):
+        self.bank, self.threshold = bank, config.threshold
+        # the cut: _ROUNDING_SLACK of each segment's norm at the block's start
+        energy = np.max(np.diag(bank.peak_bound))  # largest kernel energy
+        self.slack = _ROUNDING_SLACK * np.sqrt(
+            np.einsum("ij,ij->i", windows, windows) * energy) * (1.0 + energy)
+
+    def cut(self, x, live):
+        return self.slack[live]
+
+    def correlate(self, kernels, spectra, prod, out):
+        return correlate_all_fft(None, self.bank, kernels, spectra, prod, out)
+
+    @staticmethod
+    def reduce(segments, kernels, r):
+        """Per pair of a chunk: the peak |r|, its first lag and r there."""
+        pair = np.arange(len(r))
+        up, down = r.argmax(axis=1), r.argmin(axis=1)
+        high, low = r[pair, up], -r[pair, down]
+        # |r| peaks first at the earlier of the two extremes that reach it
+        use_down = (low > high) | ((low == high) & (down < up))
+        peak = np.maximum(high, low)
+        return peak, peak, np.where(use_down, down, up), np.where(use_down, -low, high)
+
+    def subtract(self, window, m, s):
+        """Take s times kernel m from each row of window; the rows' bound steps."""
+        window -= s[:, None] * self.bank.samples_matrix[m]
+        return window, np.abs(s)[:, None] * self.bank.peak_bound[m]
 
 
 class _RowBounds:
@@ -353,19 +385,19 @@ class _RowBounds:
         self.prod = np.empty_like(self.spectra)
         self.rows = np.empty((_CHUNK, FFT_SIZE))
 
-    def refresh(self, spectra, correlate, reduce, cut):
+    def refresh(self, spectra, path, cut):
         """Refresh pairs until no stale pair's bound plus its segment's cut
         reaches that segment's best peak.
 
-        spectra holds one spectrum per live segment. correlate(kernels,
+        spectra holds one spectrum per live segment. path.correlate(kernels,
         spectra, prod, out) writes the rows of a chunk of pairs into out;
-        reduce(segments, kernels, rows) returns the chunk's peak, top, lag
-        and value per pair. Every bound is first capped by the spectrum's
-        own bound, |spectra| @ table.T; the first refresh seeds each floor
-        with the row's root mean square. The refresh starts with the pairs
-        that reach their segment's largest floor, a lower bound on its best
-        peak; the clamp of each floor to its bound keeps the pair with the
-        largest floor among them.
+        path.reduce(segments, kernels, rows) returns the chunk's peak, top, lag
+        and value per pair. Every bound is first capped by the spectrum's own
+        bound, |spectra| @ table.T; the first refresh seeds each floor with the
+        row's root mean square. The refresh starts with the pairs that reach
+        their segment's largest floor, a lower bound on its best peak; the clamp
+        of each floor to its bound keeps the pair with the largest floor among
+        them.
         """
         magnitude = np.abs(spectra)
         np.minimum(self.bound, magnitude @ self.table.T, out=self.bound)
@@ -386,9 +418,9 @@ class _RowBounds:
                 s, n = seg[lo:lo + _CHUNK], row[lo:lo + _CHUNK]
                 k = len(s)
                 np.take(spectra, s, axis=0, out=self.spectra[:k], mode="clip")
-                r = correlate(n, self.spectra[:k], self.prod[:k], self.rows[:k])
+                r = path.correlate(n, self.spectra[:k], self.prod[:k], self.rows[:k])
                 peak[s, n], top[s, n], self.lag[s, n], self.value[s, n] = \
-                    reduce(s, n, r)
+                    path.reduce(s, n, r)
             self.bound[todo] = self.floor[todo] = peak[todo]
             stale[todo] = -np.inf
             todo = stale >= peak.max(axis=1)[:, None]
@@ -405,9 +437,8 @@ class _RowBounds:
         self.bound += step
         self.floor -= step
 
-    def retire(self, done, windows, residuals):
-        """Write the residuals of the done segments back into windows and drop them."""
-        windows[self.live[done]] = residuals[done]
+    def retire(self, done):
+        """Drop the done segments."""
         keep = ~done
         for name in ("live", "peak", "top", "lag", "value", "bound", "floor"):
             setattr(self, name, getattr(self, name)[keep])
@@ -456,18 +487,12 @@ def encode_stream(samples, bank, config, flag=None):
     or a subtraction clips. Passing one without config.fixed is an error.
     """
     samples = _check_samples(samples, config)
-    if config.fixed is not None:
-        from . import fixed_point  # deferred: fixed_point imports this module
-
-        engine = lambda *block: fixed_point._encode_block_fixed(*block, flag=flag)
-    elif flag is not None:
+    if flag is not None and config.fixed is None:
         raise ValueError("a saturation flag needs the fixed-point datapath "
                          "(config.fixed); the float datapath does not saturate")
-    else:
-        engine = _encode_block
     seg, span = bank.segment_length, _BLOCK * bank.segment_length
-    encode_block = lambda start: engine(segment_stream(samples[start:start + span], seg),
-                                        start // seg, bank, config)
+    encode_block = lambda start: _encode_block(
+        segment_stream(samples[start:start + span], seg), start // seg, bank, config, flag)
     starts = range(0, len(samples), span)
     workers = _worker_count()
     if workers > 1 and len(starts) > 1:

@@ -5,11 +5,11 @@ Values live in a signed 34-bit Q format (default Q5.28): raw integers in
 compute exact wide-integer results, round once to the format's fractional
 precision (round to nearest, ties to even), and saturate at the format
 bounds without reporting it: the encode entries reject samples outside
-the range, so only the pursuit can saturate (SaturationFlag). The fixed
-encoding loop mirrors the float loop with every correlation lag
-accumulated exactly in a wide accumulator and rounded once, the
-subtraction products rounded elementwise, and all comparisons done on
-raw integers. Splitting 34-bit operands at bit 17 keeps partial
+the range, so only the pursuit can saturate (SaturationFlag). The one
+pursuit loop, encoder._encode_block, runs on this datapath (_Fixed) in
+raw integers, held in float64 (exact: |raw| <= 2**33): every correlation
+lag accumulated exactly and rounded once, the subtraction products
+rounded elementwise. Splitting 34-bit operands at bit 17 keeps partial
 products below 2**50 and 1353-tap correlation partials below 2**46, exact
 in int64 and in float64 matrix products.
 
@@ -37,9 +37,8 @@ chunk of the lockstep refresh is reduced this way to every pair's exact
 peak, its first lag and value (_exact_peak). The winner is the smallest
 row at the largest exact |value|, then its first lag.
 
-Blocks of segments are pursued in lockstep with the float loop's
-bookkeeping (encoder._RowBounds), with cut 1 + 2 * delta per segment.
-After a code (m, tau, s_raw) row n's bound rises by
+The datapath's cut is 1 + 2 * delta per segment. After a code
+(m, tau, s_raw) row n's bound rises by
 |s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1 + 2 * delta_max: B_q bounds
 the quantized kernels' cross-correlation peaks, the L1 term the q_mul
 product's rounding, the rest the screen's error before and after and the
@@ -72,8 +71,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import (EncoderConfig, _check_samples, _circular_windows, _emit,
-                      _encode_block, _RowBounds, correlate_all_fft, segment_stream)
+from .encoder import (EncoderConfig, _check_samples, _circular_windows, _encode_block,
+                      correlate_all_fft, segment_stream)
 from .kernel_bank import FFT_SIZE, KernelBank
 
 _WIDTH = 34
@@ -147,12 +146,21 @@ def _as_result(raw, scalar):
 
 
 def to_fixed(x, fmt=Q5_28):
-    """Quantize real values to raw integers: round to nearest even, saturate."""
+    """Quantize real values to raw integers: round to nearest even, saturate.
+
+    +-inf saturate too; NaN has no value, so it is a ValueError naming the
+    first one's index.
+    """
     scalar = np.ndim(x) == 0
     # clip the real value first, so that scaling cannot overflow: the bounds
     # and their products with the power-of-two scale are exact in float64
     real = np.clip(np.asarray(x, dtype=np.float64), fmt.raw_min / fmt.scale,
                    fmt.raw_max / fmt.scale)
+    nan = np.isnan(real)
+    if nan.any():
+        index = tuple(np.argwhere(nan)[0].tolist())
+        where = f" at index {index[0] if len(index) == 1 else index}" if index else ""
+        raise ValueError(f"NaN{where} cannot be quantized")
     return _as_result(np.rint(real * fmt.scale).astype(np.int64), scalar)
 
 
@@ -320,86 +328,66 @@ def _peak_step(tables, m, s_raw):
 def encode_segment_fixed(buffer, bank, config, flag=None):
     """Matching pursuit on the integer datapath; mutates buffer to the residual.
 
-    Mirrors the float loop on raw integers: exact correlations rounded once
-    per lag (screened, and refreshed or taken exactly only where they can
-    win: see the module docstring), the same tie order, the quantized
-    feedback threshold, and a rounded, saturating subtraction. The buffer
-    ends up holding the dequantized residual. Samples are checked as by
-    encoder.encode_stream. flag (a SaturationFlag), when given, is set if a
-    code's correlation sits at the format's limit or a subtraction clips.
-    A one-buffer block of the lockstep pursuit.
+    encoder.encode_segment on a fixed config, plus flag (a SaturationFlag),
+    set when given if a code's correlation sits at the format's limit or a
+    subtraction clips. A float config is an error.
     """
     if config.fixed is None:
         raise ValueError("the fixed-point datapath needs a format (config.fixed); "
-                         "encode_segment is the float datapath")
+                         "encode_segment takes either datapath's config")
     _check_samples(buffer.data, config)
-    return _encode_block_fixed(buffer.data[None], buffer.segment_index, bank, config,
-                               flag)[0]
+    return _encode_block(buffer.data[None], buffer.segment_index, bank, config, flag)[0]
 
 
-def _encode_block_fixed(windows, first, bank, config, flag=None):
-    """The integer pursuit on a block of windows in lockstep; one code list per window.
+class _Fixed:
+    """The integer datapath of encoder._encode_block (module docstring); the
+    windows' samples must lie in the format's range (_check_samples)."""
 
-    windows and first are as for encoder._encode_block, each row ending up
-    dequantized; its samples must lie in the format's range (_check_samples).
-    """
-    fmt = QFormat(*config.fixed)
-    tables = _tables_for(bank, fmt)
-    raw = to_fixed(windows, fmt)
-    threshold_raw = to_fixed(config.threshold, fmt)
-    length = bank.kernel_length
-    rows = _RowBounds(len(windows), tables.bank.spectrum_bound)
-    codes = [[] for _ in windows]
+    def __init__(self, bank, config, flag):
+        self.fmt = QFormat(*config.fixed)
+        self.tables = _tables_for(bank, self.fmt)
+        self.bank = self.tables.bank
+        self.threshold = to_fixed(config.threshold, self.fmt)
+        self.flag = flag
 
-    def reduce(segments, kernels, screen):
+    def units(self, windows):
+        return to_fixed(windows, self.fmt).astype(np.float64)
+
+    def real(self, raw):
+        return to_float(raw, self.fmt)
+
+    def cut(self, raw, live):
+        """1 + 2 * delta per segment; keeps raw and delta for the exact route."""
+        self.raw = raw
+        self.delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", raw, raw)) * \
+            self.tables.kernel_norm
+        return 1.0 + 2.0 * self.delta
+
+    def correlate(self, kernels, spectra, prod, out):
+        return _correlate_raw_fft(spectra, self.tables, self.fmt, kernels, prod, out)
+
+    def reduce(self, segments, kernels, screen):
         peak, lag, value = _exact_peak(
-            screen, cut[segments], delta[segments],
-            lambda j, lags: _correlate_raw_gemm(raw[segments[j]], tables, fmt,
-                                                slice(kernels[j], kernels[j] + 1), lags)[0])
+            screen, 1.0 + 2.0 * self.delta[segments], self.delta[segments],
+            lambda j, lags: _correlate_raw_gemm(
+                self.raw[segments[j]].astype(np.int64), self.tables, self.fmt,
+                slice(kernels[j], kernels[j] + 1), lags)[0])
         return peak, np.abs(value), lag, value
 
-    for iteration in range(config.sps):
-        data = raw.astype(np.float64)
-        delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", data, data)) * tables.kernel_norm
-        cut = 1.0 + 2.0 * delta
-        rows.refresh(np.fft.rfft(data, axis=1), lambda kernels, spectra, prod, out:
-                     _correlate_raw_fft(spectra, tables, fmt, kernels, prod, out),
-                     reduce, cut)
-        m, u, value = rows.pick()
-        s_raw = value.astype(np.int64)
-        stop = np.abs(s_raw) < threshold_raw
-        if stop.any():
-            rows.retire(stop, windows, to_float(raw, fmt))
-            keep = ~stop
-            raw, m, u, s_raw = raw[keep], m[keep], u[keep], s_raw[keep]
-            if not keep.any():
-                break
-        if flag is not None and np.any((s_raw == fmt.raw_min) | (s_raw == fmt.raw_max)):
-            flag.seen = True
-        _emit(codes, first, rows.live, m, u, to_float(s_raw, fmt).tolist(), iteration)
-        # each row's taps as two slices, before and after the circular wrap
-        slices = [(j, lag, min(length, FFT_SIZE - lag)) for j, lag in enumerate(u.tolist())]
-        window = np.empty((len(m), length), dtype=np.int64)
-        for j, lag, head in slices:
-            window[j, :head] = raw[j, lag:lag + head]
-            window[j, head:] = raw[j, :length - head]
-        wide = _rounded_product(s_raw[:, None], tables.kernel_raw[m], fmt)
-        product = np.clip(wide, fmt.raw_min, fmt.raw_max)
+    def subtract(self, window, m, s_raw):
+        """Take q_mul(s_raw, kernel m) from each row of window, saturating; the
+        rows' bound steps, +inf where a product or the residual clips."""
+        low, high = self.fmt.raw_min, self.fmt.raw_max
+        wide = _rounded_product(s_raw[:, None], self.tables.kernel_raw[m], self.fmt)
+        product = np.clip(wide, low, high)
         update = window - product
-        over = np.any((product != wide) | (update < fmt.raw_min) | (update > fmt.raw_max),
-                      axis=1)
-        np.clip(update, fmt.raw_min, fmt.raw_max, out=window)
-        for j, lag, head in slices:
-            raw[j, lag:lag + head] = window[j, :head]
-            raw[j, :length - head] = window[j, head:]
-        if flag is not None and over.any():
-            flag.seen = True
+        over = np.any((product != wide) | (update < low) | (update > high), axis=1)
+        if self.flag is not None and (over.any() or np.any((s_raw == low) | (s_raw == high))):
+            self.flag.seen = True
         # a clipped update is no longer s times a kernel: only the cap bounds a row
-        step = _peak_step(tables, m, s_raw[:, None])
+        step = _peak_step(self.tables, m, s_raw[:, None])
         step[over] = np.inf
-        rows.raise_bounds(step)
-    rows.retire(np.ones(len(rows.live), dtype=bool), windows, to_float(raw, fmt))
-    return codes
+        return np.clip(update, low, high, out=update), step
 
 
 @dataclass
@@ -432,7 +420,7 @@ def parity_harness(bank, fmt=Q5_28, segments=100, sps=16, seed=2024):
     traces = [[float(row @ row)] for row in residuals]
     per_fixed = [[] for _ in residuals]
     for iteration in range(sps):  # at threshold 0 each step emits one code per segment
-        for j, (code,) in enumerate(_encode_block_fixed(residuals, 0, bank, one_code)):
+        for j, (code,) in enumerate(_encode_block(residuals, 0, bank, one_code)):
             per_fixed[j].append(dataclasses.replace(code, iteration=iteration))
             traces[j].append(float(residuals[j] @ residuals[j]))
     pairs = [pair for codes in zip(per_float, per_fixed) for pair in zip(*codes)]

@@ -236,13 +236,19 @@ class TestEncodeSegment:
         config = enc.EncoderConfig(sps=16, threshold=0.01)
         assert enc.encode_segment(buf, bank, config) == []
 
-    def test_fixed_config_is_an_error(self, bank):
-        # this path would run the float pursuit and ignore the format
-        buf = enc.SegmentBuffer.from_samples(np.random.default_rng(3).uniform(-1, 1, 696))
-        before = buf.data.copy()
-        with pytest.raises(ValueError, match="fixed_point.encode_segment_fixed"):
-            enc.encode_segment(buf, bank, enc.EncoderConfig(sps=3, fixed=(5, 28)))
-        np.testing.assert_array_equal(buf.data, before)
+    def test_fixed_config_runs_the_fixed_datapath(self, bank):
+        # the same pursuit as encode_segment_fixed, not the float one
+        samples = np.random.default_rng(3).uniform(-1, 1, 696)
+        config = enc.EncoderConfig(sps=3, fixed=(5, 28))
+        buf = enc.SegmentBuffer.from_samples(samples, 2)
+        fixed = enc.SegmentBuffer.from_samples(samples, 2)
+        codes = enc.encode_segment(buf, bank, config)
+        assert codes == fx.encode_segment_fixed(fixed, bank, config)
+        np.testing.assert_array_equal(buf.data, fixed.data)
+        assert [c.s for c in codes] == [fx.to_float(fx.to_fixed(c.s)) for c in codes]
+        floating = enc.encode_segment(enc.SegmentBuffer.from_samples(samples, 2), bank,
+                                      dataclasses.replace(config, fixed=None))
+        assert [c.s for c in codes] != [c.s for c in floating]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("path", ["fft", "direct"])
@@ -409,9 +415,8 @@ class TestPrunedRefresh:
         rows = enc._RowBounds(1, bank.spectrum_bound)
         rows.seeded = True
         rows.floor[:] = 2.0 * np.abs(spectra) @ bank.spectrum_bound.T
-        rows.refresh(spectra, lambda kernels, spectra, prod, out: enc.correlate_all_fft(
-            None, bank, kernels, spectra, prod, out), enc._peak_lag_value,
-            np.full(1, 1e-9 * np.linalg.norm(x)))
+        path = enc._Float(x, bank, enc.EncoderConfig())
+        rows.refresh(spectra, path, np.full(1, 1e-9 * np.linalg.norm(x)))
         m, u, s = rows.pick()
         want = enc.find_best_code(enc.correlate_all_fft(enc.SegmentBuffer(x[0]), bank))
         assert (int(m[0]), int(u[0]), float(s[0])) == (want.m, want.tau % enc.FFT_SIZE,
@@ -466,6 +471,16 @@ class TestBlockPursuit:
             assert codes[i] == full_recompute(full, bank, config)
             np.testing.assert_array_equal(windows[i], alone.data)
             np.testing.assert_array_equal(windows[i], full.data)
+
+    @pytest.mark.parametrize("fixed", [None, (5, 28)])
+    def test_block_whose_rows_all_stop_at_once(self, bank, fixed):
+        # every row leaves the block in the same iteration, the first here,
+        # holding its input (dequantized on the fixed datapath)
+        config = enc.EncoderConfig(sps=8, threshold=0.5, fixed=fixed)
+        windows = enc.segment_stream(0.01 * np.ones(3 * 696), 696)
+        want = windows.copy() if fixed is None else fx.to_float(fx.to_fixed(windows))
+        assert enc._encode_block(windows, 0, bank, config) == [[], [], []]
+        np.testing.assert_array_equal(windows, want)
 
     def test_direct_block_pursues_each_row_in_place(self, bank):
         config = enc.EncoderConfig(sps=4, threshold=0.1, path="direct")
@@ -646,6 +661,15 @@ class TestEncoderConfig:
             enc.EncoderConfig(threshold=-0.1)
         with pytest.raises(ValueError):
             enc.EncoderConfig(path="walsh")
+
+    def test_sps_must_be_an_integer(self, bank):
+        # a float would only fail inside the pursuit, as range()'s TypeError
+        for sps in (2.5, 2.0, "4"):
+            message = f"sps must be an integer, got {sps!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                enc.EncoderConfig(sps=sps)
+        config = enc.EncoderConfig(sps=np.int64(3))
+        assert len(enc.encode_stream(np.ones(696), bank, config)) == 3
 
     def test_fixed_takes_no_path_but_the_default(self):
         # the integer datapath has its own correlation: "direct" would be inert

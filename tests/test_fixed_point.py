@@ -87,6 +87,15 @@ class TestToFixed:
                                       [2 ** 33 - 1, -(2 ** 33), 2 ** 33 - 1, -(2 ** 33)])
         assert fx.to_fixed(-big, fx.QFormat(0, 33)) == -(2 ** 33)
 
+    def test_nan_is_an_error_naming_its_index(self):
+        # cast to int64, NaN would become int64's minimum, far outside the format
+        with pytest.raises(ValueError, match=re.escape("NaN at index 2 cannot be quantized")):
+            fx.to_fixed(np.array([1.0, np.inf, np.nan, np.nan]))
+        with pytest.raises(ValueError, match=re.escape("NaN at index (1, 0) cannot")):
+            fx.to_fixed(np.array([[0.5, 1.0], [np.nan, 2.0]]))
+        with pytest.raises(ValueError, match="^NaN cannot be quantized$"):
+            fx.to_fixed(np.nan)
+
     @pytest.mark.parametrize("fmt", [fx.Q5_28, Q20_13, fx.QFormat(0, 33)])
     def test_in_range_grid_keeps_its_bytes(self, fmt):
         # the reference scales, rounds, then clips: in range the order cannot matter
@@ -477,7 +486,7 @@ def full_recompute_fixed(buffer, bank, config):
 
 
 def step_fixed(windows, first, bank, config):
-    """_encode_block_fixed one code at a time, config.sps times: the codes per
+    """encoder._encode_block one code at a time, config.sps times: the codes per
     window, renumbered, and each window's residual energy before the first
     step and after each of its codes. The windows end up as the residuals.
     """
@@ -485,7 +494,7 @@ def step_fixed(windows, first, bank, config):
     windows[:] = fx.to_float(fx.to_fixed(windows))
     codes, traces = [[] for _ in windows], [[float(x @ x)] for x in windows]
     for iteration in range(config.sps):
-        for j, got in enumerate(fx._encode_block_fixed(windows, first, bank, one_code)):
+        for j, got in enumerate(encoder._encode_block(windows, first, bank, one_code)):
             codes[j] += [dataclasses.replace(c, iteration=iteration) for c in got]
             traces[j] += [float(windows[j] @ windows[j])] * len(got)
     return codes, traces
@@ -635,7 +644,7 @@ class TestPrunedRefreshFixed:
         samples = 0.9 * np.sin(2 * np.pi * 440.0 * t)
         config = EncoderConfig(sps=sps, fixed=(0, 33))
         windows = encoder.segment_stream(samples, 696)
-        codes = fx._encode_block_fixed(windows, 0, bank, config)
+        codes = encoder._encode_block(windows, 0, bank, config)
         for i in range(len(windows)):
             full = SegmentBuffer.from_samples(samples[696 * i:696 * (i + 1)], i)
             assert codes[i] == full_recompute_fixed(full, bank, config)[0]
@@ -707,7 +716,7 @@ class TestBlockPursuitFixed:
         segments = self.segments()
         windows = encoder.segment_stream(np.concatenate(segments), 696)
         flag = fx.SaturationFlag()
-        codes = fx._encode_block_fixed(windows, 4, bank, config, flag)  # segments 4-10
+        codes = encoder._encode_block(windows, 4, bank, config, flag)  # segments 4-10
         assert {len(c) for c in codes} == {0, 5, 8}
         assert flag  # the full-scale noise clips
         for i, samples in enumerate(segments):
@@ -726,7 +735,7 @@ class TestBlockPursuitFixed:
         config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
         windows = encoder.segment_stream(np.concatenate(self.segments()), 696)
         stepped = windows.copy()
-        codes = fx._encode_block_fixed(windows, 4, bank, config)
+        codes = encoder._encode_block(windows, 4, bank, config)
         steps, traces = step_fixed(stepped, 4, bank, config)
         assert steps == codes
         np.testing.assert_array_equal(stepped, windows)
@@ -747,7 +756,7 @@ class TestBlockPursuitFixed:
         config = EncoderConfig(sps=sps, fixed=(5, 28))
         windows = np.array(segments)
         flag = fx.SaturationFlag()
-        codes = fx._encode_block_fixed(windows, 0, loud, config, flag)
+        codes = encoder._encode_block(windows, 0, loud, config, flag)
         assert (codes[1][0].m, codes[1][0].tau, codes[1][0].s) == (30, 200, 30.0)
         assert flag
         for i, x in enumerate(segments):
@@ -858,3 +867,25 @@ def test_golden_digests(bank, name):
         residual_hash.update(fx.to_fixed(buffer.data).astype("<i8").tobytes())
     assert (codes_hash.hexdigest(), residual_hash.hexdigest()) == \
         (codes_digest, residual_digest)
+
+
+def test_golden_stream_digest(bank, monkeypatch):
+    """The lockstep pursuit of encode_stream, pinned bit for bit like GOLDEN.
+
+    Twelve segments make two blocks; at threshold 0.01 they stop after 0,
+    3, 8, 15 and 16 codes, and the full-scale noise sets the flag.
+    """
+    segments = [tones(i) for i in range(4)] + [
+        np.zeros(696), tones(4) / 128, 31.9 * (2.0 * lcg_uniform(3, 696) - 1.0),
+        (2.0 * lcg_uniform(4, 696) - 1.0) / 32, square(2806.1, 0.63) / 8192,
+        tones(5) / 256, tones(6) / 64, tones(7) / 32]
+    samples = np.concatenate(segments)[:-100]
+    config = EncoderConfig(sps=16, threshold=0.01, fixed=(5, 28))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPIKETRUM_THREADS", threads)
+        flag = fx.SaturationFlag()
+        codes = encoder.encode_stream(samples, bank, config, flag)
+        table = [(c.segment_index, c.iteration, c.m, c.tau, fx.to_fixed(c.s)) for c in codes]
+        digest = hashlib.sha256(np.array(table, dtype="<i8").tobytes() + bytes([bool(flag)]))
+        assert digest.hexdigest() == \
+            "3530d5d77cd6e67ed136d350cb962858d916dbdbad22ba834ad39663a20ad4d5"
