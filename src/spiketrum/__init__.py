@@ -8,7 +8,6 @@ fixed-point emulation mode are all configurable.
 """
 
 from .kernel_bank import (
-    BankConfig,
     BankFormatError,
     KernelBank,
     build_bank,

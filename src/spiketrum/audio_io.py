@@ -45,9 +45,14 @@ def write_wav(path, samples, rate):
     """Write float samples as mono 16-bit PCM, clamping to [-1, 1].
 
     Uses the same 32768 scale as read_wav, so a round trip moves any
-    sample by at most one quantization step.
+    sample by at most one quantization step. +-inf clamp to full scale;
+    NaN has no PCM value, so it is a ValueError naming the first one's
+    index, raised before the file is opened.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    nan = np.flatnonzero(np.isnan(samples))
+    if nan.size:
+        raise ValueError(f"NaN at index {nan[0]} cannot be written as PCM")
     pcm = np.clip(np.rint(samples * _SCALE), -32768, 32767).astype("<i2")
     with wave.open(os.fspath(path), "wb") as wav:
         wav.setnchannels(1)

@@ -51,14 +51,8 @@ def reconstruct_from_spikes(spikes, bank, channel_map, output_length):
 
     The spike time already encodes segment start plus clamped shift.
     """
-    channel = spikes["channel"]
-    bad = channel >= channel_map.total_channels
-    if bad.any():
-        raise ValueError(f"channel {channel[bad][0]} outside "
-                         f"[0, {channel_map.total_channels})")
-    per_kernel = channel_map.channels_per_kernel
-    return _overlap_add(spikes["time"].tolist(), (channel // per_kernel).tolist(),
-                        np.take(channel_map.levels, channel % per_kernel).tolist(),
+    kernel, level = channel_map.decode(spikes["channel"])
+    return _overlap_add(spikes["time"].tolist(), kernel.tolist(), level.tolist(),
                         bank, output_length)
 
 

@@ -161,10 +161,14 @@ def _format_range(fixed):
     return fmt, fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
 
 
-def _check_samples(samples, config):
-    """The samples as float64 if finite and, on the fixed datapath, in range;
-    else a ValueError naming the first bad index. Only a failure allocates."""
+def _check_samples(samples, config, length=None):
+    """The samples as float64 if 1-D (length long, when given), finite and, on
+    the fixed datapath, in range; else a ValueError naming the shape or the
+    first bad index. Only a failure allocates."""
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1 or length not in (None, len(samples)):
+        need = "one axis" if length is None else f"shape ({length},)"
+        raise ValueError(f"samples need {need}, got shape {samples.shape}")
     limit = np.finfo(np.float64).max
     fmt, low, high = (None, -limit, limit) if config.fixed is None else \
         _format_range(config.fixed)
@@ -274,7 +278,7 @@ def encode_segment(buffer, bank, config):
     picks; the direct path recomputes every row every iteration and is the
     oracle. Samples are checked as by encode_stream.
     """
-    _check_samples(buffer.data, config)
+    _check_samples(buffer.data, config, FFT_SIZE)
     return _encode_block(buffer.data[None], buffer.segment_index, bank, config)[0]
 
 
@@ -479,9 +483,11 @@ def encode_stream(samples, bank, config, flag=None):
     segments (segment_stream) and pursues them in lockstep, so working
     memory does not grow with the input; with SPIKETRUM_THREADS > 1 the
     blocks encode on a thread pool, and the output is identical for any
-    worker count. Non-finite samples are rejected, naming the first one's
-    index; so are samples outside the fixed-point format's range, which
-    would otherwise saturate silently; the per-segment entries share this check.
+    worker count. Input that is not 1-D is rejected, naming its shape;
+    non-finite samples are rejected, naming the first one's index; so are
+    samples outside the fixed-point format's range, which would otherwise
+    saturate silently. The per-segment entries share this check and also
+    reject a buffer that does not hold exactly 2048 samples.
     On the fixed datapath, flag (a fixed_point.SaturationFlag) is set when
     the pursuit saturates: a code's correlation sits at the format's limit,
     or a subtraction clips. Passing one without config.fixed is an error.

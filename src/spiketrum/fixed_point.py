@@ -335,7 +335,7 @@ def encode_segment_fixed(buffer, bank, config, flag=None):
     if config.fixed is None:
         raise ValueError("the fixed-point datapath needs a format (config.fixed); "
                          "encode_segment takes either datapath's config")
-    _check_samples(buffer.data, config)
+    _check_samples(buffer.data, config, FFT_SIZE)
     return _encode_block(buffer.data[None], buffer.segment_index, bank, config, flag)[0]
 
 

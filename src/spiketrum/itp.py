@@ -3,9 +3,11 @@
 Every kernel owns three output channels, one per discrete intensity level.
 A code becomes a single spike: the channel names the kernel and the level
 nearest to |s|, the spike time is the segment start plus the (nonnegative,
-clamped) shift. A spike train is a numpy record array of SPIKE_DTYPE, the
-binary file's record layout; it serializes to a plain text event list or
-to a header followed by the records' bytes.
+clamped) shift. The levels are the paper's three, fixed because spike
+files do not record them; ChannelMap.decode is the one place a channel
+turns back into a kernel and a level. A spike train is a numpy record
+array of SPIKE_DTYPE, the binary file's record layout; it serializes to a
+plain text event list or to a header followed by the records' bytes.
 """
 
 from __future__ import annotations
@@ -34,28 +36,28 @@ class AerFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelMap:
-    """Channel layout: kernel index major, intensity level minor."""
+    """Channel layout: kernel index major, intensity level minor.
 
-    levels: tuple = DEFAULT_LEVELS
+    The paper's three levels are constants: spike files do not record them."""
+
     kernel_count: int = 40
 
-    def __post_init__(self):
-        # quantize_intensity is the paper's three-level selection chain
-        if len(self.levels) != 3:
-            raise ValueError(f"need exactly 3 levels, got {len(self.levels)}: "
-                             f"{self.levels}")
-        if not all(a < b for a, b in zip(self.levels, self.levels[1:])):
-            raise ValueError(f"levels must be strictly increasing: {self.levels}")
-        if min(self.levels) <= 0:
-            raise ValueError(f"levels must be positive: {self.levels}")
-
-    @property
-    def channels_per_kernel(self):
-        return len(self.levels)
+    levels = DEFAULT_LEVELS
+    channels_per_kernel = len(DEFAULT_LEVELS)
 
     @property
     def total_channels(self):
-        return self.kernel_count * len(self.levels)
+        return self.kernel_count * self.channels_per_kernel
+
+    def decode(self, channel):
+        """(kernel index, level value) arrays of a channel id array; an id
+        outside [0, total_channels) is an AerFormatError (a ValueError)."""
+        bad = (channel < 0) | (channel >= self.total_channels)
+        if bad.any():
+            raise AerFormatError(
+                f"channel {channel[bad][0]} outside [0, {self.total_channels})")
+        kernel, level = np.divmod(channel, self.channels_per_kernel)
+        return kernel, np.take(self.levels, level)
 
 
 def channel_of(m, level, channel_map=ChannelMap()):
@@ -116,19 +118,15 @@ def spikes_to_codes(spikes, channel_map, segment_len):
     Iteration numbers restart per segment in arrival order; they are not
     recoverable from the spike train.
     """
-    per_kernel = channel_map.channels_per_kernel
+    kernel, level = channel_map.decode(spikes["channel"])
     counters = {}
     codes = []
-    for time, channel in spikes.tolist():
-        if not 0 <= channel < channel_map.total_channels:
-            raise AerFormatError(
-                f"channel {channel} outside [0, {channel_map.total_channels})")
+    for time, m, s in zip(spikes["time"].tolist(), kernel.tolist(), level.tolist()):
         segment, tau = divmod(time, segment_len)
         iteration = counters.get(segment, 0)
         counters[segment] = iteration + 1
-        codes.append(Code(m=channel // per_kernel, tau=tau,
-                          s=channel_map.levels[channel % per_kernel],
-                          segment_index=segment, iteration=iteration))
+        codes.append(Code(m=m, tau=tau, s=s, segment_index=segment,
+                          iteration=iteration))
     return codes
 
 
@@ -167,11 +165,20 @@ def read_aer_text(path):
 
 
 def write_aer_binary(spikes, path, sample_rate, channel_count=120):
-    """Header (magic, version, channel count, sample rate) then fixed records."""
+    """Header (magic, version, channel count, sample rate) then fixed records.
+
+    A spike on a channel at or past channel_count, which read_aer_binary
+    would reject, is a ValueError naming the first one; nothing is written.
+    """
+    records = np.asarray(spikes, dtype=SPIKE_DTYPE)
+    bad = np.flatnonzero(records["channel"] >= channel_count)
+    if bad.size:
+        raise ValueError(f"spike {bad[0]} on channel {records['channel'][bad[0]]} "
+                         f"exceeds declared count {channel_count}")
     with open(path, "wb") as fh:
         fh.write(_AER_HEADER.pack(_AER_MAGIC, _AER_VERSION, channel_count,
                                   sample_rate))
-        fh.write(np.asarray(spikes, dtype=SPIKE_DTYPE).tobytes())
+        fh.write(records.tobytes())
 
 
 def read_aer_binary(path):

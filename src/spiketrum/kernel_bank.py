@@ -8,7 +8,9 @@ exactly fills the window (2048 = 696 + 1353 - 1).
 
 A bank is its arrays: a (kernels, taps) waveform matrix and the center
 frequencies, plus the spectra and bounds derived from them on
-construction. Every consumer reads matrix rows.
+construction. Every consumer reads matrix rows. build_bank() builds the
+paper's bank and takes no options; another bank is built from the public
+parts (see build_bank) or loaded from a .spkb file.
 """
 
 from __future__ import annotations
@@ -139,18 +141,6 @@ def generate_gammatone(fc, fs=DEFAULT_SAMPLE_RATE, length=DEFAULT_KERNEL_LENGTH,
     return g / norm
 
 
-@dataclass
-class BankConfig:
-    """Generation parameters for a kernel bank."""
-
-    kernel_count: int = DEFAULT_KERNEL_COUNT
-    kernel_length: int = DEFAULT_KERNEL_LENGTH
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    fmin: float = DEFAULT_FMIN
-    fmax: float = DEFAULT_FMAX
-    order: int = DEFAULT_ORDER
-
-
 @dataclass(eq=False)
 class KernelBank:
     """The kernel dictionary as arrays, one row per kernel.
@@ -193,7 +183,7 @@ class KernelBank:
 
     @property
     def kernel_count(self):
-        return len(self.samples_matrix)  # not .shape[0]: decode reads it once per event
+        return self.samples_matrix.shape[0]
 
     @property
     def kernel_length(self):
@@ -232,29 +222,18 @@ def spectrum_bound(spectra):
     return table
 
 
-def build_bank(config=None):
-    """Build the kernel dictionary for a given configuration.
+def build_bank():
+    """The paper's kernel dictionary: 40 order-4 gammatones, 20 Hz to 8 kHz at 16 kHz.
 
-    Deterministic: identical configurations produce bit-identical banks.
+    Deterministic: every call returns a bit-identical bank. Another
+    dictionary is one expression of the public parts::
 
-    Parameters
-    ----------
-    config : BankConfig, optional
-        Defaults to the standard 40-kernel bank, 20 Hz to 8 kHz at 16 kHz.
-
-    Returns
-    -------
-    KernelBank
+        freqs = erb_center_frequencies(count, fmin, fmax)
+        KernelBank(np.array([generate_gammatone(fc, fs, length, order)
+                             for fc in freqs]), freqs, fs, fmin, fmax, order)
     """
-    cfg = config or BankConfig()
-    if cfg.fmax > cfg.sample_rate / 2.0:
-        raise ValueError(
-            f"fmax {cfg.fmax} Hz exceeds Nyquist {cfg.sample_rate / 2.0} Hz")
-    _check_shape(cfg.kernel_count, cfg.kernel_length)  # before generating any taps
-    freqs = erb_center_frequencies(cfg.kernel_count, cfg.fmin, cfg.fmax)
-    samples = np.array([generate_gammatone(fc, cfg.sample_rate, cfg.kernel_length,
-                                           cfg.order) for fc in freqs])
-    return KernelBank(samples, freqs, cfg.sample_rate, cfg.fmin, cfg.fmax, cfg.order)
+    freqs = erb_center_frequencies(DEFAULT_KERNEL_COUNT)
+    return KernelBank(np.array([generate_gammatone(fc) for fc in freqs]), freqs)
 
 
 def _record_dtype(length):

@@ -38,6 +38,12 @@ class TestRoundTrip:
             wave.open(str(path)).readframes(2), dtype="<i2")
         assert list(raw) == [32767, -32768]
 
+    def test_infinities_clamp_to_full_scale(self, tmp_path):
+        path = tmp_path / "inf.wav"
+        audio_io.write_wav(path, np.array([np.inf, -np.inf]), 16000)
+        raw = np.frombuffer(wave.open(str(path)).readframes(2), dtype="<i2")
+        assert list(raw) == [32767, -32768]
+
     def test_second_write_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(61)
         samples = rng.uniform(-1, 1, 5000)
@@ -74,6 +80,13 @@ class TestErrors:
         audio_io.write_wav(path, np.zeros(10), 44100)
         with pytest.raises(ValueError, match="44100.*16000"):
             audio_io.read_wav(path, expected_rate=16000)
+
+    def test_nan_is_an_error_naming_its_index(self, tmp_path):
+        # NaN has no PCM value: writing it as 0 would hide it
+        path = tmp_path / "nan.wav"
+        with pytest.raises(ValueError, match="^NaN at index 1 cannot be written as PCM$"):
+            audio_io.write_wav(path, np.array([0.1, np.nan, 0.2, np.nan]), 16000)
+        assert not path.exists()
 
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "g.wav"

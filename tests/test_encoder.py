@@ -262,6 +262,17 @@ class TestEncodeSegment:
             enc.encode_segment(buf, bank, enc.EncoderConfig(sps=3, path=path))
         np.testing.assert_array_equal(buf.data[:696], samples)
 
+    @pytest.mark.parametrize("config", [enc.EncoderConfig(sps=3),
+                                        enc.EncoderConfig(sps=3, path="direct"),
+                                        enc.EncoderConfig(sps=3, fixed=(5, 28))])
+    def test_buffer_of_the_wrong_shape_rejected(self, bank, config):
+        entries = [enc.encode_segment] + [fx.encode_segment_fixed] * bool(config.fixed)
+        for data in (np.zeros(100), np.zeros(2049), np.zeros((2048, 1))):
+            for entry in entries:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"samples need shape (2048,), got shape {data.shape}")):
+                    entry(enc.SegmentBuffer(data), bank, config)
+
     def test_single_component_recovery(self, bank):
         buf = place_kernel(bank, 7, 100, 0.5)
         codes = enc.encode_segment(buf, bank, enc.EncoderConfig(sps=1))
@@ -587,6 +598,13 @@ class TestEncodeStream:
         for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
             with pytest.raises(ValueError, match="non-finite sample nan at index 5"):
                 enc.encode_stream(samples, bank, config)
+
+    def test_input_that_is_not_one_axis_rejected(self, bank):
+        for samples in (np.zeros((100, 2)), 0.1 * np.ones((1500, 2)), np.float64(0.5)):
+            for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"samples need one axis, got shape {samples.shape}")):
+                    enc.encode_stream(samples, bank, config)
 
     def test_fixed_rejects_samples_outside_the_format(self, bank):
         for value in (100.0, 1e300, -32.5):

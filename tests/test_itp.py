@@ -1,9 +1,13 @@
 """Intensity-to-place coding and spike file formats."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from spiketrum import itp
+from spiketrum.decoder import reconstruct_from_spikes
 from spiketrum.encoder import Code, EncoderConfig, SegmentBuffer, encode_segment
 
 
@@ -17,15 +21,26 @@ class TestChannelMap:
         assert channel_map.channels_per_kernel == 3
         assert channel_map.total_channels == 120
 
-    def test_levels_must_increase(self):
-        with pytest.raises(ValueError):
-            itp.ChannelMap(levels=(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            itp.ChannelMap(levels=(-1.0, 0.5, 2.0))
-        with pytest.raises(ValueError, match="exactly 3 levels"):
-            itp.ChannelMap(levels=(0.5, 2.0))
-        with pytest.raises(ValueError, match="exactly 3 levels"):
-            itp.ChannelMap(levels=(0.1, 0.5, 2.0, 8.0))
+    def test_levels_are_not_settable(self):
+        # a spike file does not record its levels: a train made with other
+        # levels would decode at the default amplitudes
+        with pytest.raises(TypeError):
+            itp.ChannelMap(levels=(0.01, 1.0, 10.0))
+
+    def test_decode(self, channel_map):
+        kernel, level = channel_map.decode(np.array([0, 22, 119], dtype=np.uint16))
+        assert kernel.tolist() == [0, 7, 39]
+        assert level.tolist() == [0.0065, 0.4115, 25.8744]
+        for m in range(40):
+            for idx in range(3):
+                kernel, level = channel_map.decode(np.array([itp.channel_of(m, idx)]))
+                assert (kernel[0], level[0]) == (m, channel_map.levels[idx])
+
+    def test_decode_names_the_first_channel_out_of_range(self, channel_map):
+        for channels, first in (([5, 130, 120], 130), ([-1, 200], -1)):
+            with pytest.raises(itp.AerFormatError,
+                               match=rf"^channel {first} outside \[0, 120\)$"):
+                channel_map.decode(np.array(channels))
 
     def test_channel_of(self, channel_map):
         assert itp.channel_of(0, 0, channel_map) == 0
@@ -204,6 +219,25 @@ class TestSpikesToCodes:
         with pytest.raises(itp.AerFormatError):
             itp.spikes_to_codes(train([0], [120]), channel_map, 696)
 
+    def test_out_of_range_message_matches_the_decoder(self, bank, channel_map):
+        spikes = train([0, 5, 9], [3, 130, 121])
+        errors = []
+        for decode in (lambda: itp.spikes_to_codes(spikes, channel_map, 696),
+                       lambda: reconstruct_from_spikes(spikes, bank, channel_map, 500)):
+            with pytest.raises(itp.AerFormatError) as info:
+                decode()
+            errors.append(str(info.value))
+        assert errors == ["channel 130 outside [0, 120)"] * 2
+
+
+def write_declaring(path, spikes, channel_count):
+    """A .spka file whose header declares channel_count whatever the spikes'
+    channels: the writer refuses a spike past the count, the reader must too."""
+    itp.write_aer_binary(spikes, path, 16000.0, channel_count=2 ** 16)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = struct.pack("<I", channel_count)
+    path.write_bytes(bytes(blob))
+
 
 def sample_spikes():
     return train([0, 696, 696, 123456], [0, 22, 97, 119])
@@ -301,19 +335,32 @@ class TestAerBinary:
 
     def test_channel_exceeding_declared_count(self, tmp_path):
         path = tmp_path / "over.spka"
-        itp.write_aer_binary(train([0], [119]), path,
-                             16000.0, channel_count=64)
+        write_declaring(path, train([0], [119]), 64)
         with pytest.raises(itp.AerFormatError, match="channel"):
             itp.read_aer_binary(path)
 
     def test_first_bad_channel_and_offset_named(self, tmp_path):
         path = tmp_path / "over.spka"
-        itp.write_aer_binary(train([0, 1, 2], [3, 70, 90]), path,
-                             16000.0, channel_count=64)
+        write_declaring(path, train([0, 1, 2], [3, 70, 90]), 64)
         # 20-byte header, 10-byte records: the second record starts at 30
         with pytest.raises(itp.AerFormatError,
                            match="channel 70 at offset 30 exceeds declared count 64"):
             itp.read_aer_binary(path)
+
+
+class TestWriteAerBinary:
+    def test_channel_past_the_count_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "over.spka"
+        with pytest.raises(ValueError, match=re.escape(
+                "spike 1 on channel 200 exceeds declared count 120")):
+            itp.write_aer_binary(train([0, 5, 9], [3, 200, 130]), path, 16000.0)
+        assert not path.exists()
+
+    def test_last_channel_of_the_count_written(self, tmp_path):
+        path = tmp_path / "edge.spka"
+        itp.write_aer_binary(train([0, 5], [0, 63]), path, 16000.0, channel_count=64)
+        spikes, _, channel_count = itp.read_aer_binary(path)
+        assert spikes.channel.tolist() == [0, 63] and channel_count == 64
 
 
 class TestReadAerSniff:

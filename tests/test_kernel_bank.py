@@ -21,6 +21,14 @@ def struct_bank_bytes(bank):
     return b"".join(parts)
 
 
+def bank_from_parts(count, length, fs=16000.0, fmin=20.0, fmax=8000.0, order=4):
+    """A bank other than the paper's, built from the public parts as build_bank's
+    docstring shows."""
+    freqs = kb.erb_center_frequencies(count, fmin, fmax)
+    return kb.KernelBank(np.array([kb.generate_gammatone(fc, fs, length, order)
+                                   for fc in freqs]), freqs, fs, fmin, fmax, order)
+
+
 def header_only(count, length):
     """A .spkb header declaring count kernels of length taps, default rate and range."""
     return struct.pack("<4sIII d d d I", b"SPKB", 1, count, length, 16000.0, 20.0,
@@ -90,13 +98,11 @@ class TestGenerateGammatone:
         message = "all-zero gammatone at 440.0 Hz, length 1, order 4"
         with pytest.raises(ValueError, match=message):
             kb.generate_gammatone(440.0, 16000.0, length=1, order=4)
-        message = "all-zero gammatone at 20.0 Hz, length 1, order 4"
-        with pytest.raises(ValueError, match=message):
-            kb.build_bank(kb.BankConfig(kernel_length=1))
 
-    def test_single_tap_first_order_is_a_bank_of_ones(self):
-        bank = kb.build_bank(kb.BankConfig(kernel_length=1, order=1))
-        np.testing.assert_array_equal(bank.samples_matrix, np.ones((40, 1)))
+    def test_single_tap_first_order_is_a_bank_of_ones(self, bank):
+        samples = np.array([kb.generate_gammatone(fc, length=1, order=1)
+                            for fc in bank.center_frequencies])
+        np.testing.assert_array_equal(samples, np.ones((40, 1)))
 
     def test_nyquist_center_allowed(self):
         g = kb.generate_gammatone(8000.0, 16000.0)
@@ -131,12 +137,6 @@ class TestBuildBank:
         other = kb.build_bank()
         assert np.array_equal(bank.center_frequencies, other.center_frequencies)
         assert np.array_equal(bank.samples_matrix, other.samples_matrix)
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            kb.build_bank(kb.BankConfig(fmax=9000.0))
-        with pytest.raises(ValueError):
-            kb.build_bank(kb.BankConfig(kernel_length=4096))
 
     def test_bank_checks_its_shape(self, bank):
         with pytest.raises(ValueError, match="at least one kernel"):
@@ -188,9 +188,9 @@ class TestBankFile:
         with pytest.raises(kb.BankFormatError, match="offset"):
             kb.load_bank(path)
 
-    @pytest.mark.parametrize("config", [None, kb.BankConfig(kernel_count=3, kernel_length=5)])
+    @pytest.mark.parametrize("config", [None, {"count": 3, "length": 5}])
     def test_bytes_match_a_struct_writer(self, config, tmp_path):
-        bank = kb.build_bank(config)
+        bank = kb.build_bank() if config is None else bank_from_parts(**config)
         path = tmp_path / "bank.spkb"
         kb.save_bank(bank, path)
         assert path.read_bytes() == struct_bank_bytes(bank)
