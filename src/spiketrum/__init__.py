@@ -3,8 +3,9 @@
 Audio goes in, a spike train on 120 channels comes out, and the spike
 train linearly reconstructs an approximation of the audio. The encoder
 is greedy matching pursuit against 40 ERB-spaced gammatone kernels; the
-spike rate, an early-stop threshold, the correlation engine, and a 34-bit
-fixed-point emulation mode are all configurable.
+spike rate, an early-stop threshold and the correlation engine are
+configurable, and the pursuit can run on an emulation of the hardware's
+34-bit Q5.28 integer datapath.
 """
 
 from .kernel_bank import (
@@ -47,12 +48,9 @@ from .decoder import (
     spike_entropy,
 )
 from .fixed_point import (
-    Q5_28,
-    QFormat,
     SaturationFlag,
     encode_segment_fixed,
     parity_harness,
-    parse_qformat,
     q_add,
     q_mul,
     to_fixed,

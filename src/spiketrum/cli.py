@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from . import audio_io, decoder, encoder, itp, kernel_bank
-from .fixed_point import SaturationFlag, parse_qformat
 
 
 def _load_bank(args):
@@ -28,19 +27,15 @@ def _write_spikes(spikes, path, bank, channel_map):
 
 
 def cmd_encode(args):
-    fixed = flag = None
-    if args.fixed is not None:
-        if args.path is not None:
-            raise ValueError("--path does not apply with --fixed: the integer "
-                             "datapath has its own correlation")
-        fmt = parse_qformat(args.fixed)
-        fixed = (fmt.int_bits, fmt.frac_bits)
-        flag = SaturationFlag()
+    if args.fixed is not None and args.path is not None:
+        raise ValueError("--path does not apply with --fixed: the integer "
+                         "datapath has its own correlation")
     config = encoder.EncoderConfig(sps=args.sps, threshold=args.threshold,
-                                   path=args.path or "fft", fixed=fixed)
+                                   path=args.path or "fft", fixed=args.fixed is not None)
     bank = _load_bank(args)
+    # |samples| < 1 keeps every Q5.28 value in range (fixed_point.SaturationFlag)
     samples, _ = audio_io.read_wav(args.input, expected_rate=bank.sample_rate)
-    codes = encoder.encode_stream(samples, bank, config, flag)
+    codes = encoder.encode_stream(samples, bank, config)
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
     spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)
     _write_spikes(spikes, args.output, bank, channel_map)
@@ -55,23 +50,23 @@ def cmd_encode(args):
     duration = len(samples) / bank.sample_rate
     per_second = len(spikes) / duration if duration > 0 else 0.0
     print(f"{len(spikes)} spikes ({per_second:.1f} per second)")
-    if flag:
-        print(f"warning: {fmt} arithmetic saturated during the encode: a code's "
-              f"correlation or a subtraction was clipped to the format's range",
-              file=sys.stderr)
     return 0
 
 
 def cmd_decode(args):
     bank = _load_bank(args)
     if args.input.endswith(".spka"):
-        spikes, file_rate, _ = itp.read_aer_binary(args.input)
+        spikes, file_rate, file_channels = itp.read_aer_binary(args.input)
     else:
-        spikes, file_rate, _ = itp.read_aer(args.input)
+        spikes, file_rate, file_channels = itp.read_aer(args.input)
     if file_rate is not None and file_rate != bank.sample_rate:
         raise ValueError(f"spike file rate {file_rate:g} Hz does not match "
                          f"bank rate {bank.sample_rate:g} Hz")
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
+    if file_channels is not None and file_channels != channel_map.total_channels:
+        raise ValueError(f"spike file declares {file_channels} channels, but the "
+                         f"{bank.kernel_count}-kernel bank has "
+                         f"{channel_map.total_channels}")
     reference = None
     if args.reference:
         reference, _ = audio_io.read_wav(args.reference,
@@ -119,17 +114,40 @@ def cmd_kernels(args):
     return 0
 
 
-def cmd_sweep(args):
-    # scipy is imported here, not at module top: it doubles the start-up of every command
-    from scipy.signal import chirp
-    from scipy.stats import spearmanr
+def _log_chirp(t, f0, f1, t1):
+    """A unit cosine sweeping from f0 Hz at t = 0 to f1 Hz at t1, at a constant
+    rate in octaves: scipy.signal.chirp(method="logarithmic")'s formula."""
+    if not 0.0 < f0 < f1:
+        raise ValueError(f"a sweep needs 0 < fmin < fmax, the bank has [{f0}, {f1}]")
+    beta = t1 / np.log(f1 / f0)
+    return np.cos(2 * np.pi * beta * f0 * (np.power(f1 / f0, t / t1) - 1.0))
 
+
+def _average_ranks(values):
+    """1-based ranks of values, each tie given the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = np.asarray(values)[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(ordered)]
+    ranks = np.empty(len(ordered))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
+def _rank_correlation(x, y):
+    """Spearman's rho, Pearson's on average ranks; nan if either is constant."""
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    if np.any(ranks.min(axis=0) == ranks.max(axis=0)):
+        return float("nan")
+    return np.corrcoef(ranks, rowvar=False)[0, 1]
+
+
+def cmd_sweep(args):
     bank = _load_bank(args)
     rate = bank.sample_rate
     duration = 5.0
     t = np.arange(int(duration * rate)) / rate
-    samples = args.amplitude * chirp(t, f0=bank.fmin, f1=bank.fmax,
-                                    t1=duration, method="logarithmic")
+    samples = args.amplitude * _log_chirp(t, bank.fmin, bank.fmax, duration)
     config = encoder.EncoderConfig(sps=1, threshold=0.0, path="fft")
     codes = encoder.encode_stream(samples, bank, config)
     channel_map = itp.ChannelMap(kernel_count=bank.kernel_count)
@@ -143,7 +161,7 @@ def cmd_sweep(args):
                 seg_time = code.segment_index * bank.segment_length / rate
                 fh.write(f"{seg_time:.6f},{code.m}\n")
     winners = [code.m for code in codes]
-    rho = spearmanr(np.arange(len(winners)), winners).correlation
+    rho = _rank_correlation(np.arange(len(winners)), winners)
     print(f"{len(winners)} segments, rank correlation (time vs kernel): "
           f"{rho:.4f}")
     return 0
@@ -197,8 +215,8 @@ def build_parser():
     encode.add_argument("--path", choices=("direct", "fft"),
                         help="float correlation engine (default fft); "
                              "not with --fixed")
-    encode.add_argument("--fixed", metavar="Q<I>.<F>",
-                        help="fixed-point mode in the given 34-bit format")
+    encode.add_argument("--fixed", choices=("Q5.28",),
+                        help="encode on the 34-bit integer datapath")
     encode.add_argument("--bank", help="kernel bank file (default: built in)")
     encode.add_argument("--codes", help="also write the code list CSV here")
     encode.add_argument("--report", help="write a quality report JSON here")

@@ -121,16 +121,17 @@ class EncoderConfig:
 
     sps caps codes per segment; threshold below which a response stops the
     segment (0 disables feedback); path picks the correlation engine; fixed
-    switches to the integer datapath, given as (int_bits, frac_bits) of the
-    34-bit format, whose own correlation leaves path at "fft" and whose
-    range must hold the threshold. Frozen, so every value passes the checks
-    below: change one with dataclasses.replace.
+    switches to the Q5.28 integer datapath (fixed_point), whose own
+    correlation leaves path at "fft" and whose range must hold the
+    threshold. fixed=(5, 28) and fixed=None are kept as spellings of True
+    and False. Frozen, so every value passes the checks below: change one
+    with dataclasses.replace.
     """
 
     sps: int = 16
     threshold: float = 0.0
     path: str = "fft"
-    fixed: tuple[int, int] | None = None
+    fixed: bool = False
 
     def __post_init__(self):
         try:
@@ -143,22 +144,26 @@ class EncoderConfig:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.path not in ("direct", "fft"):
             raise ValueError(f"unknown correlation path {self.path!r}")
-        if self.fixed is not None:
-            fmt, low, high = _format_range(self.fixed)
+        if self.fixed in (None, (5, 28)):
+            object.__setattr__(self, "fixed", self.fixed is not None)
+        elif not isinstance(self.fixed, bool):
+            raise ValueError(f"fixed must be a bool (the Q5.28 datapath), "
+                             f"got {self.fixed!r}")
+        if self.fixed:
+            low, high = _fixed_range()
             if self.path != "fft":
                 raise ValueError(f"path {self.path!r} does not apply with fixed: the "
                                  f"integer datapath has its own correlation")
             if self.threshold > high:
-                raise ValueError(f"threshold {self.threshold} outside the {fmt} range "
+                raise ValueError(f"threshold {self.threshold} outside the Q5.28 range "
                                  f"[{low}, {high}]")
 
 
-def _format_range(fixed):
-    """The fixed-point format of (int_bits, frac_bits) and its real-valued range."""
-    from .fixed_point import QFormat  # deferred: fixed_point imports this module
+def _fixed_range():
+    """The real values Q5.28 holds, as (lowest, highest)."""
+    from .fixed_point import RAW_MAX, RAW_MIN, SCALE  # deferred: fixed_point imports this
 
-    fmt = QFormat(*fixed)
-    return fmt, fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+    return RAW_MIN / SCALE, RAW_MAX / SCALE
 
 
 def _check_samples(samples, config, length=None):
@@ -170,8 +175,7 @@ def _check_samples(samples, config, length=None):
         need = "one axis" if length is None else f"shape ({length},)"
         raise ValueError(f"samples need {need}, got shape {samples.shape}")
     limit = np.finfo(np.float64).max
-    fmt, low, high = (None, -limit, limit) if config.fixed is None else \
-        _format_range(config.fixed)
+    low, high = _fixed_range() if config.fixed else (-limit, limit)
     # a NaN sample makes min and max NaN, and every comparison with it false
     if not samples.size or (low <= samples.min() and samples.max() <= high):
         return samples
@@ -180,7 +184,7 @@ def _check_samples(samples, config, length=None):
         raise ValueError(f"non-finite sample {samples[bad[0]]} at index {bad[0]}")
     first = np.flatnonzero((samples < low) | (samples > high))[0]
     raise ValueError(f"sample {samples[first]} at index {first} outside "
-                     f"the {fmt} range [{low}, {high}]")
+                     f"the Q5.28 range [{low}, {high}]")
 
 
 def segment_stream(samples, segment_len):
@@ -292,7 +296,7 @@ def _encode_block(windows, first, bank, config, flag=None):
     if config.path == "direct":
         return [_encode_segment_direct(SegmentBuffer(x, first + j), bank, config)
                 for j, x in enumerate(windows)]
-    if config.fixed is None:
+    if not config.fixed:
         path = _Float(windows, bank, config)
     else:
         from .fixed_point import _Fixed  # deferred: fixed_point imports this module
@@ -493,7 +497,7 @@ def encode_stream(samples, bank, config, flag=None):
     or a subtraction clips. Passing one without config.fixed is an error.
     """
     samples = _check_samples(samples, config)
-    if flag is not None and config.fixed is None:
+    if flag is not None and not config.fixed:
         raise ValueError("a saturation flag needs the fixed-point datapath "
                          "(config.fixed); the float datapath does not saturate")
     seg, span = bank.segment_length, _BLOCK * bank.segment_length

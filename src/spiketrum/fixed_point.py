@@ -1,20 +1,21 @@
 """34-bit fixed-point datapath emulation for the encoder.
 
-Values live in a signed 34-bit Q format (default Q5.28): raw integers in
-[-2**33, 2**33 - 1] representing raw / 2**frac_bits. Primitive operations
-compute exact wide-integer results, round once to the format's fractional
-precision (round to nearest, ties to even), and saturate at the format
-bounds without reporting it: the encode entries reject samples outside
-the range, so only the pursuit can saturate (SaturationFlag). The one
-pursuit loop, encoder._encode_block, runs on this datapath (_Fixed) in
-raw integers, held in float64 (exact: |raw| <= 2**33): every correlation
-lag accumulated exactly and rounded once, the subtraction products
-rounded elementwise. Splitting 34-bit operands at bit 17 keeps partial
-products below 2**50 and 1353-tap correlation partials below 2**46, exact
-in int64 and in float64 matrix products.
+Values live in Q5.28, the cochlea's one signed 34-bit format (1 sign, 5
+integer and 28 fraction bits): raw integers in [-2**33, 2**33 - 1]
+representing raw / 2**28, reals in [-32, 32). Primitive operations compute
+exact wide-integer results, round once to 28 fraction bits (round to
+nearest, ties to even), and saturate at the format bounds without
+reporting it: the encode entries reject samples outside the range, so
+only the pursuit can saturate (SaturationFlag). The one pursuit loop,
+encoder._encode_block, runs on this datapath (_Fixed) in raw integers,
+held in float64 (exact: |raw| <= 2**33): every correlation lag
+accumulated exactly and rounded once, the subtraction products rounded
+elementwise. Splitting 34-bit operands at bit 17 keeps partial products
+below 2**50 and 1353-tap correlation partials below 2**46, exact in int64
+and in float64 matrix products.
 
-The quantized kernels k_q = kernel_raw / 2**frac_bits are a KernelBank of
-their own, so the loop screens each row with the float engine
+The quantized kernels k_q = kernel_raw / 2**28 are a KernelBank of their
+own, so the loop screens each row with the float engine
 (encoder.correlate_all_fft on that bank) in raw units, S = irfft(rfft(raw)
 * conj(rfft(k_q))), clipped to the format, within delta = _SCREEN_ERROR *
 ||raw||_2 * max ||k_q||_2 of the exact value before rounding. Higham,
@@ -75,7 +76,12 @@ from .encoder import (EncoderConfig, _check_samples, _circular_windows, _encode_
                       correlate_all_fft, segment_stream)
 from .kernel_bank import FFT_SIZE, KernelBank
 
-_WIDTH = 34
+# the one format, Q5.28 (module docstring)
+FRAC_BITS = 28
+SCALE = 1 << FRAC_BITS
+RAW_MIN = -(1 << 33)
+RAW_MAX = (1 << 33) - 1
+
 _SPLIT = 17  # low-half width for the bit-17 operand split
 _SPLIT_MASK = (1 << _SPLIT) - 1
 
@@ -83,54 +89,13 @@ _SPLIT_MASK = (1 << _SPLIT) - 1
 _SCREEN_ERROR = 1e-12
 
 
-@dataclass(frozen=True)
-class QFormat:
-    """Signed 34-bit fixed-point format: 1 sign + int_bits + frac_bits."""
-
-    int_bits: int = 5
-    frac_bits: int = 28
-
-    def __post_init__(self):
-        if self.int_bits < 0 or self.frac_bits < 1:
-            raise ValueError(
-                f"invalid Q{self.int_bits}.{self.frac_bits}: need int_bits >= 0 "
-                f"and frac_bits >= 1")
-        if 1 + self.int_bits + self.frac_bits != _WIDTH:
-            raise ValueError(
-                f"Q{self.int_bits}.{self.frac_bits} is not a {_WIDTH}-bit format")
-
-    @property
-    def raw_max(self):
-        return (1 << (_WIDTH - 1)) - 1
-
-    @property
-    def raw_min(self):
-        return -(1 << (_WIDTH - 1))
-
-    @property
-    def scale(self):
-        return 1 << self.frac_bits
-
-    def __str__(self):
-        return f"Q{self.int_bits}.{self.frac_bits}"
-
-
-Q5_28 = QFormat(5, 28)
-
-
-def parse_qformat(text):
-    """Parse a format string like "Q5.28"."""
-    if not text.startswith(("Q", "q")) or "." not in text:
-        raise ValueError(f"bad fixed-point format {text!r}, expected Q<I>.<F>")
-    int_part, _, frac_part = text[1:].partition(".")
-    try:
-        return QFormat(int(int_part), int(frac_part))
-    except ValueError as exc:
-        raise ValueError(f"bad fixed-point format {text!r}: {exc}") from exc
-
-
 class SaturationFlag:
-    """Sticky status bit set whenever the fixed pursuit saturates."""
+    """Sticky status bit set whenever the fixed pursuit saturates.
+
+    Only samples far past full scale get there: a 16-bit WAV (|x| < 1)
+    gives segments of norm below sqrt(696) = 26.4, and with unit-norm
+    kernels every correlation, product and residual stays below 32.
+    """
 
     __slots__ = ("seen",)
 
@@ -145,7 +110,7 @@ def _as_result(raw, scalar):
     return int(raw) if scalar else raw
 
 
-def to_fixed(x, fmt=Q5_28):
+def to_fixed(x):
     """Quantize real values to raw integers: round to nearest even, saturate.
 
     +-inf saturate too; NaN has no value, so it is a ValueError naming the
@@ -154,55 +119,46 @@ def to_fixed(x, fmt=Q5_28):
     scalar = np.ndim(x) == 0
     # clip the real value first, so that scaling cannot overflow: the bounds
     # and their products with the power-of-two scale are exact in float64
-    real = np.clip(np.asarray(x, dtype=np.float64), fmt.raw_min / fmt.scale,
-                   fmt.raw_max / fmt.scale)
+    real = np.clip(np.asarray(x, dtype=np.float64), RAW_MIN / SCALE, RAW_MAX / SCALE)
     nan = np.isnan(real)
     if nan.any():
         index = tuple(np.argwhere(nan)[0].tolist())
         where = f" at index {index[0] if len(index) == 1 else index}" if index else ""
         raise ValueError(f"NaN{where} cannot be quantized")
-    return _as_result(np.rint(real * fmt.scale).astype(np.int64), scalar)
+    return _as_result(np.rint(real * SCALE).astype(np.int64), scalar)
 
 
-def to_float(raw, fmt=Q5_28):
+def to_float(raw):
     """Exact real value of raw integers."""
     scalar = np.ndim(raw) == 0
-    values = np.asarray(raw, dtype=np.float64) / fmt.scale
+    values = np.asarray(raw, dtype=np.float64) / SCALE
     return float(values) if scalar else values
 
 
-def q_add(a, b, fmt=Q5_28):
+def q_add(a, b):
     """Saturating add; exact whenever the sum is in range."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     total = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-    return _as_result(np.clip(total, fmt.raw_min, fmt.raw_max), scalar)
+    return _as_result(np.clip(total, RAW_MIN, RAW_MAX), scalar)
 
 
-def _rne_combine(m, r0, fmt):
-    """Round V = m * 2**17 + r0 (0 <= r0 < 2**17) to fmt's precision, ties
+def _rne_combine(m, r0):
+    """Round V = m * 2**17 + r0 (0 <= r0 < 2**17) to 28 fraction bits, ties
     to even, without saturating.
 
     The split avoids materializing V, which can exceed int64 for 34x34-bit
     products. A result out of the format's range stays out of it (never
     wrapped back in), so saturating the result afterwards is exact.
     """
-    frac = fmt.frac_bits
-    if frac >= _SPLIT:
-        shift = frac - _SPLIT
-        q = m >> shift
-        rem = ((m & ((1 << shift) - 1)) << _SPLIT) | r0
-    else:
-        # |V| <= (raw_max + 1) * 2**frac requires |m| < 2**33; anything
-        # clamped here saturates regardless, and the clamp keeps the sign
-        m = np.clip(m, -(1 << 40), 1 << 40)
-        q = (m << (_SPLIT - frac)) + (r0 >> frac)
-        rem = r0 & ((1 << frac) - 1)
-    half = 1 << (frac - 1)
+    shift = FRAC_BITS - _SPLIT
+    q = m >> shift
+    rem = ((m & ((1 << shift) - 1)) << _SPLIT) | r0
+    half = 1 << (FRAC_BITS - 1)
     return q + (rem > half) + ((rem == half) & ((q & 1) == 1))
 
 
-def _rounded_product(a, b, fmt):
-    """Exact wide product of raw integers, rounded once to fmt, not saturated.
+def _rounded_product(a, b):
+    """Exact wide product of raw integers, rounded once, not saturated.
 
     Vectorized over int64 by splitting b at bit 17; both partial products
     stay below 2**50 so the arithmetic never overflows.
@@ -211,22 +167,22 @@ def _rounded_product(a, b, fmt):
     b = np.asarray(b, dtype=np.int64)
     p_lo = a * (b & _SPLIT_MASK)
     m = a * (b >> _SPLIT) + (p_lo >> _SPLIT)
-    return _rne_combine(m, p_lo & _SPLIT_MASK, fmt)
+    return _rne_combine(m, p_lo & _SPLIT_MASK)
 
 
-def q_mul(a, b, fmt=Q5_28):
-    """Saturating multiply: exact wide product, one rounding to fmt."""
+def q_mul(a, b):
+    """Saturating multiply: exact wide product, one rounding."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    product = np.clip(_rounded_product(a, b, fmt), fmt.raw_min, fmt.raw_max)
+    product = np.clip(_rounded_product(a, b), RAW_MIN, RAW_MAX)
     return _as_result(product, scalar)
 
 
 @dataclass(eq=False)
 class _FixedTables:
-    """Per-bank, per-format caches for the integer correlation."""
+    """Per-bank caches for the integer correlation."""
 
     kernel_raw: np.ndarray          # (kernels, L) int64
-    bank: KernelBank                # the quantized kernels, kernel_raw / 2**frac_bits
+    bank: KernelBank                # the quantized kernels, kernel_raw / 2**28
     gemm_hi: np.ndarray = field(init=False)     # (L, kernels) float64, high halves
     gemm_lo: np.ndarray = field(init=False)     # (L, kernels) float64, low halves
     kernel_norm: float = field(init=False)      # largest L2 norm of the quantized kernels
@@ -237,7 +193,7 @@ class _FixedTables:
         self.gemm_lo = np.ascontiguousarray((self.kernel_raw & _SPLIT_MASK).T,
                                             dtype=np.float64)
         self.kernel_norm = float(np.sqrt(np.max(np.diag(self.bank.peak_bound))))
-        largest = 2.0 ** (_WIDTH - 1) * np.sqrt(FFT_SIZE)  # ||raw||_2 at the format's limit
+        largest = -RAW_MIN * np.sqrt(FFT_SIZE)  # ||raw||_2 at the format's limit
         delta_max = _SCREEN_ERROR * largest * self.kernel_norm
         kernel_l1 = np.abs(self.bank.samples_matrix).sum(axis=1)
         self.step_floor = 0.5 * kernel_l1 + (1.0 + 2.0 * delta_max)
@@ -247,19 +203,18 @@ _tables_lock = threading.Lock()
 _tables_cache = weakref.WeakKeyDictionary()
 
 
-def _tables_for(bank, fmt):
+def _tables_for(bank):
     with _tables_lock:
-        per_bank = _tables_cache.setdefault(bank, {})
-        tables = per_bank.get(fmt)
+        tables = _tables_cache.get(bank)
         if tables is None:
-            kernel_raw = to_fixed(bank.samples_matrix, fmt)
+            kernel_raw = to_fixed(bank.samples_matrix)
             # exact: |kernel_raw| < 2**53
-            quantized = dataclasses.replace(bank, samples_matrix=kernel_raw / fmt.scale)
-            tables = per_bank[fmt] = _FixedTables(kernel_raw, quantized)
+            quantized = dataclasses.replace(bank, samples_matrix=kernel_raw / SCALE)
+            tables = _tables_cache[bank] = _FixedTables(kernel_raw, quantized)
         return tables
 
 
-def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None)):
+def _correlate_raw_gemm(raw_data, tables, rows=slice(None), lags=slice(None)):
     """Exact integer correlation of the selected rows at the selected lags.
 
     Float64 products of split halves are integer-exact (module docstring);
@@ -274,10 +229,10 @@ def _correlate_raw_gemm(raw_data, tables, fmt, rows=slice(None), lags=slice(None
     p_x = ((w_hi @ gemm_lo) + (w_lo @ gemm_hi)).astype(np.int64).T
     p_ll = (w_lo @ gemm_lo).astype(np.int64).T
     m = (p_hh << _SPLIT) + p_x + (p_ll >> _SPLIT)
-    return np.clip(_rne_combine(m, p_ll & _SPLIT_MASK, fmt), fmt.raw_min, fmt.raw_max)
+    return np.clip(_rne_combine(m, p_ll & _SPLIT_MASK), RAW_MIN, RAW_MAX)
 
 
-def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
+def _correlate_raw_fft(spectrum, tables, rows, prod, out):
     """Screen a chunk of rows of the integer correlation into out (module docstring).
 
     spectrum is rfft(raw), one per entry of the index array rows or one
@@ -285,7 +240,7 @@ def _correlate_raw_fft(spectrum, tables, fmt, rows, prod, out):
     encoder.correlate_all_fft.
     """
     screen = correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
-    return np.clip(screen, fmt.raw_min, fmt.raw_max, out=screen)
+    return np.clip(screen, RAW_MIN, RAW_MAX, out=screen)
 
 
 def _exact_peak(screen, cut, delta, exact_row):
@@ -332,8 +287,8 @@ def encode_segment_fixed(buffer, bank, config, flag=None):
     set when given if a code's correlation sits at the format's limit or a
     subtraction clips. A float config is an error.
     """
-    if config.fixed is None:
-        raise ValueError("the fixed-point datapath needs a format (config.fixed); "
+    if not config.fixed:
+        raise ValueError("the fixed-point datapath needs config.fixed; "
                          "encode_segment takes either datapath's config")
     _check_samples(buffer.data, config, FFT_SIZE)
     return _encode_block(buffer.data[None], buffer.segment_index, bank, config, flag)[0]
@@ -344,17 +299,16 @@ class _Fixed:
     windows' samples must lie in the format's range (_check_samples)."""
 
     def __init__(self, bank, config, flag):
-        self.fmt = QFormat(*config.fixed)
-        self.tables = _tables_for(bank, self.fmt)
+        self.tables = _tables_for(bank)
         self.bank = self.tables.bank
-        self.threshold = to_fixed(config.threshold, self.fmt)
+        self.threshold = to_fixed(config.threshold)
         self.flag = flag
 
     def units(self, windows):
-        return to_fixed(windows, self.fmt).astype(np.float64)
+        return to_fixed(windows).astype(np.float64)
 
     def real(self, raw):
-        return to_float(raw, self.fmt)
+        return to_float(raw)
 
     def cut(self, raw, live):
         """1 + 2 * delta per segment; keeps raw and delta for the exact route."""
@@ -364,30 +318,29 @@ class _Fixed:
         return 1.0 + 2.0 * self.delta
 
     def correlate(self, kernels, spectra, prod, out):
-        return _correlate_raw_fft(spectra, self.tables, self.fmt, kernels, prod, out)
+        return _correlate_raw_fft(spectra, self.tables, kernels, prod, out)
 
     def reduce(self, segments, kernels, screen):
         peak, lag, value = _exact_peak(
             screen, 1.0 + 2.0 * self.delta[segments], self.delta[segments],
             lambda j, lags: _correlate_raw_gemm(
-                self.raw[segments[j]].astype(np.int64), self.tables, self.fmt,
-                slice(kernels[j], kernels[j] + 1), lags)[0])
+                self.raw[segments[j]].astype(np.int64), self.tables, slice(kernels[j], kernels[j] + 1), lags)[0])
         return peak, np.abs(value), lag, value
 
     def subtract(self, window, m, s_raw):
         """Take q_mul(s_raw, kernel m) from each row of window, saturating; the
         rows' bound steps, +inf where a product or the residual clips."""
-        low, high = self.fmt.raw_min, self.fmt.raw_max
-        wide = _rounded_product(s_raw[:, None], self.tables.kernel_raw[m], self.fmt)
-        product = np.clip(wide, low, high)
+        wide = _rounded_product(s_raw[:, None], self.tables.kernel_raw[m])
+        product = np.clip(wide, RAW_MIN, RAW_MAX)
         update = window - product
-        over = np.any((product != wide) | (update < low) | (update > high), axis=1)
-        if self.flag is not None and (over.any() or np.any((s_raw == low) | (s_raw == high))):
+        over = np.any((product != wide) | (update < RAW_MIN) | (update > RAW_MAX), axis=1)
+        if self.flag is not None and (over.any() or
+                                      np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX))):
             self.flag.seen = True
         # a clipped update is no longer s times a kernel: only the cap bounds a row
         step = _peak_step(self.tables, m, s_raw[:, None])
         step[over] = np.inf
-        return np.clip(update, low, high, out=update), step
+        return np.clip(update, RAW_MIN, RAW_MAX, out=update), step
 
 
 @dataclass
@@ -404,7 +357,7 @@ class ParityResult:
         return self.matched / self.total if self.total else 1.0
 
 
-def parity_harness(bank, fmt=Q5_28, segments=100, sps=16, seed=2024):
+def parity_harness(bank, segments=100, sps=16, seed=2024):
     """Encode random segments on both datapaths and compare (m, tau) pairs.
 
     Returns every mismatch as a (float_code, fixed_code) pair, plus any
@@ -415,8 +368,8 @@ def parity_harness(bank, fmt=Q5_28, segments=100, sps=16, seed=2024):
     windows = segment_stream(rng.uniform(-1.0, 1.0, segments * seg_len), seg_len)
     # the float pursuit turns its windows into residuals, so it gets a copy
     per_float = _encode_block(windows.copy(), 0, bank, EncoderConfig(sps=sps))
-    one_code = EncoderConfig(sps=1, fixed=(fmt.int_bits, fmt.frac_bits))
-    residuals = to_float(to_fixed(windows, fmt), fmt)
+    one_code = EncoderConfig(sps=1, fixed=True)
+    residuals = to_float(to_fixed(windows))
     traces = [[float(row @ row)] for row in residuals]
     per_fixed = [[] for _ in residuals]
     for iteration in range(sps):  # at threshold 0 each step emits one code per segment

@@ -230,26 +230,26 @@ def test_criterion_09_integer_datapath_parity(bank):
 
     # primitive ops against an unbounded-integer model, one million pairs each
     rng = np.random.default_rng(109)
-    fmt = fx.Q5_28
+    frac, raw_min, raw_max = fx.FRAC_BITS, fx.RAW_MIN, fx.RAW_MAX
     n = 1_000_000
-    a = rng.integers(fmt.raw_min, fmt.raw_max + 1, n)
-    b = rng.integers(fmt.raw_min, fmt.raw_max + 1, n)
+    a = rng.integers(raw_min, raw_max + 1, n)
+    b = rng.integers(raw_min, raw_max + 1, n)
     # salt in exact rounding ties: force low halves that put the product
     # remainder exactly on the half step
     a[:1000] = (np.arange(1000) - 500) * 2
     b[:1000] = 1 << 27
 
     wide = a.astype(object) * b.astype(object)
-    q = wide >> fmt.frac_bits
-    rem = wide - (q << fmt.frac_bits)
-    half = 1 << (fmt.frac_bits - 1)
+    q = wide >> frac
+    rem = wide - (q << frac)
+    half = 1 << (frac - 1)
     q = q + (rem > half) + ((rem == half) & (q % 2 == 1))
-    want_mul = np.minimum(np.maximum(q, fmt.raw_min), fmt.raw_max)
+    want_mul = np.minimum(np.maximum(q, raw_min), raw_max)
     got_mul = fx.q_mul(a, b)
     mul_ok = int(np.sum(got_mul == want_mul))
 
     want_add = np.minimum(np.maximum(a.astype(object) + b.astype(object),
-                                     fmt.raw_min), fmt.raw_max)
+                                     raw_min), raw_max)
     got_add = fx.q_add(a, b)
     add_ok = int(np.sum(got_add == want_add))
 

@@ -11,7 +11,7 @@ import pytest
 
 import spiketrum
 from spiketrum import audio_io, cli, itp, kernel_bank
-from spiketrum.encoder import EncoderConfig, encode_stream, read_codes_csv
+from spiketrum.encoder import read_codes_csv
 
 
 def spike_train(times, channels):
@@ -78,24 +78,14 @@ class TestEncode:
         assert capsys.readouterr().err == ("error: threshold 100.0 outside the Q5.28 "
                                            "range [-32.0, 31.99999999627471]\n")
 
-    def test_fixed_saturation_warning(self, tmp_path, capsys):
-        # a loud tone correlates far past Q0.33's range of [-1, 1); the
-        # warning goes to stderr and leaves stdout and the spike file alone
-        wav, out, want = tmp_path / "loud.wav", tmp_path / "s.spka", tmp_path / "w.spka"
-        t = np.arange(3200) / 16000.0
-        audio_io.write_wav(wav, 0.9 * np.sin(2 * np.pi * 440.0 * t), 16000)
-        assert cli.main(["encode", str(wav), "-o", str(out), "--fixed", "Q0.33",
-                         "--sps", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("warning: Q0.33 arithmetic saturated")
-        bank = kernel_bank.build_bank()
-        samples, _ = audio_io.read_wav(wav)
-        codes = encode_stream(samples, bank, EncoderConfig(sps=2, fixed=(0, 33)))
-        spikes = itp.codes_to_spikes(codes, itp.ChannelMap(), bank.segment_length)
-        itp.write_aer_binary(spikes, want, 16000.0, 120)
-        assert out.read_bytes() == want.read_bytes()
-        assert captured.out == f"{len(spikes)} spikes ({len(spikes) / 0.2:.1f} per second)\n"
+    def test_fixed_takes_only_q5_28(self, noise_wav, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["encode", noise_wav, "-o", str(out), "--fixed", "Q0.33"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --fixed: invalid choice: 'Q0.33'" in err
+        assert not out.exists()
 
     def test_fixed_rejects_fft_path(self, noise_wav, tmp_path, capsys):
         rc = cli.main(["encode", noise_wav, "-o", str(tmp_path / "x.txt"),
@@ -228,6 +218,22 @@ class TestDecode:
         assert rc == 1
         assert "magic" in capsys.readouterr().err
 
+    def test_channel_count_of_another_bank_rejected(self, noise_wav, tmp_path, capsys):
+        # a 20-kernel bank's train declares 60 channels, the built-in bank has 120
+        bank = kernel_bank.build_bank()
+        bank_file, spikes = tmp_path / "b20.spkb", tmp_path / "s20.spka"
+        kernel_bank.save_bank(dataclasses.replace(
+            bank, samples_matrix=bank.samples_matrix[::2],
+            center_frequencies=bank.center_frequencies[::2]), bank_file)
+        assert cli.main(["encode", noise_wav, "-o", str(spikes), "--bank", str(bank_file)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r.wav"
+        assert cli.main(["decode", str(spikes), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: spike file declares 60 channels, but "
+                                           "the 40-kernel bank has 120\n")
+        assert not out.exists()
+        assert cli.main(["decode", str(spikes), "-o", str(out), "--bank", str(bank_file)]) == 0
+
     def test_rate_mismatch_rejected(self, tmp_path, capsys):
         spikes = tmp_path / "hi.spka"
         itp.write_aer_binary(spike_train([0], [0]), spikes, 22050.0)
@@ -321,15 +327,19 @@ class TestBench:
 
 class TestStartup:
     def test_importing_the_cli_leaves_scipy_out(self):
-        # only sweep needs scipy; encode and decode must not pay for loading it
+        # scipy is no runtime dependency, at import or in a sweep; checked in
+        # a fresh interpreter, since other tests import scipy in this one
         src = os.path.dirname(os.path.dirname(os.path.abspath(spiketrum.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, spiketrum.cli; print(sorted(m for m in sys.modules"
-             " if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, env=env, check=True)
-        assert done.stdout.strip() == "[]"
+        script = ("import sys, spiketrum.cli as cli\n"
+                  "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print(loaded())\n"
+                  "cli.main(['sweep', '--amplitude', '0.05'])\n"
+                  "print(loaded())\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.splitlines() == [
+            "[]", "115 segments, rank correlation (time vs kernel): 0.9989", "[]"]
 
 
 class TestParser:

@@ -239,7 +239,7 @@ class TestEncodeSegment:
     def test_fixed_config_runs_the_fixed_datapath(self, bank):
         # the same pursuit as encode_segment_fixed, not the float one
         samples = np.random.default_rng(3).uniform(-1, 1, 696)
-        config = enc.EncoderConfig(sps=3, fixed=(5, 28))
+        config = enc.EncoderConfig(sps=3, fixed=True)
         buf = enc.SegmentBuffer.from_samples(samples, 2)
         fixed = enc.SegmentBuffer.from_samples(samples, 2)
         codes = enc.encode_segment(buf, bank, config)
@@ -264,7 +264,7 @@ class TestEncodeSegment:
 
     @pytest.mark.parametrize("config", [enc.EncoderConfig(sps=3),
                                         enc.EncoderConfig(sps=3, path="direct"),
-                                        enc.EncoderConfig(sps=3, fixed=(5, 28))])
+                                        enc.EncoderConfig(sps=3, fixed=True)])
     def test_buffer_of_the_wrong_shape_rejected(self, bank, config):
         entries = [enc.encode_segment] + [fx.encode_segment_fixed] * bool(config.fixed)
         for data in (np.zeros(100), np.zeros(2049), np.zeros((2048, 1))):
@@ -595,13 +595,13 @@ class TestEncodeStream:
         samples = np.zeros(1000)
         samples[5] = np.nan
         samples[700] = np.inf
-        for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
+        for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=True)):
             with pytest.raises(ValueError, match="non-finite sample nan at index 5"):
                 enc.encode_stream(samples, bank, config)
 
     def test_input_that_is_not_one_axis_rejected(self, bank):
         for samples in (np.zeros((100, 2)), 0.1 * np.ones((1500, 2)), np.float64(0.5)):
-            for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=(5, 28))):
+            for config in (enc.EncoderConfig(), enc.EncoderConfig(fixed=True)):
                 with pytest.raises(ValueError, match=re.escape(
                         f"samples need one axis, got shape {samples.shape}")):
                     enc.encode_stream(samples, bank, config)
@@ -613,13 +613,13 @@ class TestEncodeStream:
             message = f"sample {value} at index 800 outside the Q5.28 range " \
                 "[-32.0, 31.99999999627471]"
             with pytest.raises(ValueError, match=re.escape(message)):
-                enc.encode_stream(samples, bank, enc.EncoderConfig(fixed=(5, 28)))
+                enc.encode_stream(samples, bank, enc.EncoderConfig(fixed=True))
 
     def test_fixed_accepts_the_format_extremes(self, bank):
         samples = np.zeros(1000)
         samples[3] = 32.0 - 2.0 ** -28
         samples[900] = -32.0
-        codes = enc.encode_stream(samples, bank, enc.EncoderConfig(sps=2, fixed=(5, 28)))
+        codes = enc.encode_stream(samples, bank, enc.EncoderConfig(sps=2, fixed=True))
         assert len(codes) == 4
 
     def test_fixed_rejects_a_threshold_outside_the_format(self, bank):
@@ -627,7 +627,7 @@ class TestEncodeStream:
         message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
         with pytest.raises(ValueError, match=re.escape(message)):
             enc.encode_stream(samples, bank,
-                              enc.EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
+                              enc.EncoderConfig(sps=4, threshold=100.0, fixed=True))
 
     @pytest.mark.parametrize("fixed", [None, (5, 28)])
     def test_input_check_allocates_nothing(self, bank, monkeypatch, fixed):
@@ -647,7 +647,7 @@ class TestEncodeStream:
 
     def test_fixed_saturation_flag(self, bank):
         rng = np.random.default_rng(26)
-        config = enc.EncoderConfig(sps=4, fixed=(5, 28))
+        config = enc.EncoderConfig(sps=4, fixed=True)
         quiet, loud = fx.SaturationFlag(), fx.SaturationFlag()
         enc.encode_stream(rng.uniform(-1, 1, 1000), bank, config, quiet)
         enc.encode_stream(rng.uniform(-31.9, 31.9, 1000), bank, config, loud)
@@ -692,11 +692,29 @@ class TestEncoderConfig:
     def test_fixed_takes_no_path_but_the_default(self):
         # the integer datapath has its own correlation: "direct" would be inert
         with pytest.raises(ValueError, match="path 'direct' does not apply with fixed"):
-            enc.EncoderConfig(path="direct", fixed=(5, 28))
-        assert enc.EncoderConfig(path="fft", fixed=(5, 28)).path == "fft"
+            enc.EncoderConfig(path="direct", fixed=True)
+        assert enc.EncoderConfig(path="fft", fixed=True).path == "fft"
+
+    def test_fixed_is_q5_28_or_not(self):
+        message = "fixed must be a bool (the Q5.28 datapath), got (0, 33)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enc.EncoderConfig(fixed=(0, 33))
+        for other in ((20, 13), [5, 28], 1, "Q5.28"):
+            with pytest.raises(ValueError, match="Q5.28 datapath"):
+                enc.EncoderConfig(fixed=other)
+
+    def test_tuple_and_none_spell_the_two_datapaths(self):
+        # the benchmark's spellings, (5, 28) and None, are stored as bools
+        assert enc.EncoderConfig(fixed=(5, 28)) == enc.EncoderConfig(fixed=True)
+        assert enc.EncoderConfig(fixed=(5, 28)).fixed is True
+        assert enc.EncoderConfig(fixed=None) == enc.EncoderConfig(fixed=False) \
+            == enc.EncoderConfig()
+        assert enc.EncoderConfig(fixed=None).fixed is False
+        config = dataclasses.replace(enc.EncoderConfig(sps=3, fixed=(5, 28)), fixed=None)
+        assert config == enc.EncoderConfig(sps=3)
 
     def test_frozen_so_every_change_is_checked(self):
-        config = enc.EncoderConfig(sps=4, fixed=(5, 28))
+        config = enc.EncoderConfig(sps=4, fixed=True)
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.threshold = 100.0
         assert config.threshold == 0.0

@@ -12,53 +12,46 @@ import re
 import numpy as np
 import pytest
 
-from spiketrum import encoder
+from spiketrum import cli, encoder
 from spiketrum import fixed_point as fx
 from spiketrum.encoder import MAX_SHIFT, Code, EncoderConfig, SegmentBuffer
 from spiketrum.kernel_bank import FFT_SIZE
 
 
-def model_round(value, fmt):
-    """Unbounded-integer round-to-nearest-even of value / 2**frac_bits."""
-    q, rem = divmod(value, 1 << fmt.frac_bits)
-    half = 1 << (fmt.frac_bits - 1)
+# Q5.28: raw integers in [RAW_MIN, RAW_MAX] stand for raw / 2**FRAC
+FRAC, RAW_MIN, RAW_MAX = 28, -(2 ** 33), 2 ** 33 - 1
+
+
+def model_round(value):
+    """Unbounded-integer round-to-nearest-even of value / 2**28, saturated."""
+    q, rem = divmod(value, 1 << FRAC)
+    half = 1 << (FRAC - 1)
     if rem > half or (rem == half and q & 1):
         q += 1
-    return max(fmt.raw_min, min(fmt.raw_max, q))
+    return max(RAW_MIN, min(RAW_MAX, q))
 
 
-def model_mul(a, b, fmt):
-    return model_round(int(a) * int(b), fmt)
-
-
-Q20_13 = fx.QFormat(20, 13)
+def model_mul(a, b):
+    return model_round(int(a) * int(b))
 
 
 class TestQFormat:
     def test_default_properties(self):
-        fmt = fx.Q5_28
-        assert (fmt.int_bits, fmt.frac_bits) == (5, 28)
-        assert fmt.scale == 2 ** 28
-        assert fmt.raw_max == 2 ** 33 - 1
-        assert fmt.raw_min == -(2 ** 33)
-        assert str(fmt) == "Q5.28"
+        assert (fx.FRAC_BITS, fx.SCALE) == (28, 2 ** 28)
+        assert (fx.RAW_MIN, fx.RAW_MAX) == (RAW_MIN, RAW_MAX)
 
     def test_width_must_total_34(self):
-        with pytest.raises(ValueError):
-            fx.QFormat(5, 29)
-        with pytest.raises(ValueError):
-            fx.QFormat(4, 28)
-        with pytest.raises(ValueError):
-            fx.QFormat(-1, 34)
-        with pytest.raises(ValueError):
-            fx.QFormat(33, 0)
+        for split in ((5, 29), (4, 28), (-1, 34), (33, 0)):
+            with pytest.raises(ValueError):
+                EncoderConfig(fixed=split)
 
     def test_parse(self):
-        assert fx.parse_qformat("Q5.28") == fx.Q5_28
-        assert fx.parse_qformat("Q20.13") == Q20_13
-        for bad in ("5.28", "Q5", "Q5.28.1", "Qx.y", "Q5.29"):
-            with pytest.raises(ValueError):
-                fx.parse_qformat(bad)
+        # --fixed is the one place a format is spelled out, and only Q5.28 parses
+        parser = cli.build_parser()
+        assert parser.parse_args(["encode", "in.wav", "-o", "x", "--fixed", "Q5.28"]).fixed
+        for bad in ("5.28", "Q5", "Q5.28.1", "Qx.y", "Q5.29", "Q20.13", "Q0.33"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["encode", "in.wav", "-o", "x", "--fixed", bad])
 
 
 class TestToFixed:
@@ -85,7 +78,7 @@ class TestToFixed:
         big = np.finfo(np.float64).max
         np.testing.assert_array_equal(fx.to_fixed(np.array([1e300, -1e300, big, -big])),
                                       [2 ** 33 - 1, -(2 ** 33), 2 ** 33 - 1, -(2 ** 33)])
-        assert fx.to_fixed(-big, fx.QFormat(0, 33)) == -(2 ** 33)
+        assert fx.to_fixed(-big) == -(2 ** 33)
 
     def test_nan_is_an_error_naming_its_index(self):
         # cast to int64, NaN would become int64's minimum, far outside the format
@@ -96,16 +89,16 @@ class TestToFixed:
         with pytest.raises(ValueError, match="^NaN cannot be quantized$"):
             fx.to_fixed(np.nan)
 
-    @pytest.mark.parametrize("fmt", [fx.Q5_28, Q20_13, fx.QFormat(0, 33)])
-    def test_in_range_grid_keeps_its_bytes(self, fmt):
+    def test_in_range_grid_keeps_its_bytes(self):
         # the reference scales, rounds, then clips: in range the order cannot matter
         rng = np.random.default_rng(5)
-        low, high = fmt.raw_min / fmt.scale, fmt.raw_max / fmt.scale
+        scale = 2.0 ** FRAC
+        low, high = RAW_MIN / scale, RAW_MAX / scale
         grid = np.concatenate([np.linspace(low, high, 10001), [low, high],
-                               (np.arange(-2000, 2000) + 0.5) / fmt.scale,
+                               (np.arange(-2000, 2000) + 0.5) / scale,
                                rng.uniform(low, high, 10000)])
-        want = np.clip(np.rint(grid * fmt.scale), fmt.raw_min, fmt.raw_max).astype(np.int64)
-        assert fx.to_fixed(grid, fmt).tobytes() == want.tobytes()
+        want = np.clip(np.rint(grid * scale), RAW_MIN, RAW_MAX).astype(np.int64)
+        assert fx.to_fixed(grid).tobytes() == want.tobytes()
 
     def test_round_trip_identity_on_grid(self):
         raw = np.arange(-1000, 1000, dtype=np.int64)
@@ -132,7 +125,7 @@ class TestQAdd:
         a = rng.integers(-(2 ** 32), 2 ** 32, 1000)
         b = rng.integers(-(2 ** 32), 2 ** 32, 1000)
         got = fx.q_add(a, b)
-        want = np.clip(a + b, fx.Q5_28.raw_min, fx.Q5_28.raw_max)
+        want = np.clip(a + b, RAW_MIN, RAW_MAX)
         np.testing.assert_array_equal(got, want)
 
 
@@ -161,27 +154,18 @@ class TestQMul:
 
     def test_matches_model_q5_28(self):
         rng = np.random.default_rng(51)
-        a = rng.integers(fx.Q5_28.raw_min, fx.Q5_28.raw_max + 1, 20000)
-        b = rng.integers(fx.Q5_28.raw_min, fx.Q5_28.raw_max + 1, 20000)
+        a = rng.integers(RAW_MIN, RAW_MAX + 1, 20000)
+        b = rng.integers(RAW_MIN, RAW_MAX + 1, 20000)
         got = fx.q_mul(a, b)
         for i in range(len(a)):
-            assert got[i] == model_mul(a[i], b[i], fx.Q5_28), (a[i], b[i])
-
-    def test_matches_model_low_frac_format(self):
-        # frac_bits < 17 exercises the other half of the combine step
-        rng = np.random.default_rng(52)
-        a = rng.integers(Q20_13.raw_min, Q20_13.raw_max + 1, 20000)
-        b = rng.integers(Q20_13.raw_min, Q20_13.raw_max + 1, 20000)
-        got = fx.q_mul(a, b, Q20_13)
-        for i in range(len(a)):
-            assert got[i] == model_mul(a[i], b[i], Q20_13), (a[i], b[i])
+            assert got[i] == model_mul(a[i], b[i]), (a[i], b[i])
 
     def test_near_tie_neighborhood(self):
         # sweep raw products around every multiple of 2**27 near zero
         for k in range(-8, 9):
             for eps in (-1, 0, 1):
                 a = k * 2 ** 27 + eps
-                assert fx.q_mul(a, 1) == model_mul(a, 1, fx.Q5_28)
+                assert fx.q_mul(a, 1) == model_mul(a, 1)
 
 
 class TestCorrelateFixed:
@@ -191,18 +175,17 @@ class TestCorrelateFixed:
         rng = np.random.default_rng(53)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
         raw_data = fx.to_fixed(buf.data)
-        r = fx._correlate_raw_gemm(raw_data, fx._tables_for(bank, fx.Q5_28),
-                                   fx.Q5_28)[13]
+        r = fx._correlate_raw_gemm(raw_data, fx._tables_for(bank))[13]
         raw_kernel = fx.to_fixed(bank.samples_matrix[13])
         length = len(raw_kernel)
         for u in range(0, FFT_SIZE, 137):
             acc = sum(int(raw_data[(u + t) % FFT_SIZE]) * int(raw_kernel[t])
                       for t in range(length))
-            assert r[u] == model_round(acc, fx.Q5_28), u
+            assert r[u] == model_round(acc), u
 
     def test_zero_data(self, bank):
         raw = np.zeros(2048, dtype=np.int64)
-        r = fx._correlate_raw_gemm(raw, fx._tables_for(bank, fx.Q5_28), fx.Q5_28)
+        r = fx._correlate_raw_gemm(raw, fx._tables_for(bank))
         assert r.shape == (40, 2048)
         assert np.all(r == 0)
 
@@ -214,8 +197,7 @@ def screen_of(raw, tables, rows=slice(None)):
     out = np.zeros((count, FFT_SIZE))
     prod = np.empty((len(chunk), FFT_SIZE // 2 + 1), dtype=complex)
     out[chunk] = fx._correlate_raw_fft(np.fft.rfft(raw.astype(np.float64)), tables,
-                                       fx.Q5_28, chunk, prod,
-                                       np.empty((len(chunk), FFT_SIZE)))
+                                       chunk, prod, np.empty((len(chunk), FFT_SIZE)))
     return out
 
 
@@ -253,7 +235,7 @@ def assert_exact_peaks(screen, delta, exact):
 def assert_screen_rounds_to_gemm(raw, tables):
     """The FFT route (screen, rounded or recomputed) gives the GEMM route's values."""
     screen = screen_of(raw, tables)
-    exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
+    exact = fx._correlate_raw_gemm(raw, tables)
     delta = screen_delta(raw, tables)
     assert 0.0 < delta < 0.4
     assert np.max(np.abs(screen - exact)) <= 0.5 + delta
@@ -267,7 +249,7 @@ def assert_screen_rounds_to_gemm(raw, tables):
 class TestDualRoute:
     def test_fft_route_equals_gemm_route(self, bank):
         rng = np.random.default_rng(54)
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         for amplitude in (1.0, 8.0, 30.0):
             raw = fx.to_fixed(
                 np.pad(amplitude * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
@@ -275,10 +257,10 @@ class TestDualRoute:
 
     def test_saturated_input_still_exact(self, bank):
         # raw values pinned at the format limits stress the largest products
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         raw = np.zeros(2048, dtype=np.int64)
-        raw[:696:2] = fx.Q5_28.raw_max
-        raw[1:696:2] = fx.Q5_28.raw_min
+        raw[:696:2] = RAW_MAX
+        raw[1:696:2] = RAW_MIN
         assert_screen_rounds_to_gemm(raw, tables)
 
 
@@ -287,7 +269,7 @@ class TestScreen:
 
     def test_a_band_matches_the_full_screen(self, bank):
         rng = np.random.default_rng(67)
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         raw = fx.to_fixed(np.pad(rng.uniform(-1, 1, 696), (0, 2048 - 696)))
         full = screen_of(raw, tables)
         band = slice(11, 17)
@@ -298,13 +280,13 @@ class TestScreen:
     def test_a_chunk_of_pairs_matches_each_buffer_alone(self, bank):
         # a chunk mixes (segment, row) pairs: one spectrum per entry
         rng = np.random.default_rng(69)
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         raws = [fx.to_fixed(np.pad(a * rng.uniform(-1, 1, 696), (0, 2048 - 696)))
                 for a in (0.3, 1.0, 30.0)]
         segments = np.array([2, 0, 1, 0, 2])
         rows = np.array([39, 3, 3, 17, 0])
         spectra = np.fft.rfft(np.array(raws, dtype=np.float64), axis=1)[segments]
-        out = fx._correlate_raw_fft(spectra, tables, fx.Q5_28, rows,
+        out = fx._correlate_raw_fft(spectra, tables, rows,
                                     np.empty((5, FFT_SIZE // 2 + 1), dtype=complex),
                                     np.empty((5, FFT_SIZE)))
         for j, (segment, row) in enumerate(zip(segments, rows)):
@@ -314,9 +296,9 @@ class TestScreen:
         # every screen moved to within delta of a half-integer, on the side
         # that rounds away from the exact value: only the recompute is right
         rng = np.random.default_rng(68)
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         raw = fx.to_fixed(np.pad(rng.uniform(-1, 1, 696), (0, 2048 - 696)))
-        exact = fx._correlate_raw_gemm(raw, tables, fx.Q5_28)
+        exact = fx._correlate_raw_gemm(raw, tables)
         delta = screen_delta(raw, tables)
         m, u = divmod(int(np.argmax(np.abs(exact))), FFT_SIZE)
         for offset in (0.5 + 0.5 * delta, 0.5 - 0.5 * delta):
@@ -356,7 +338,7 @@ class TestEncodeSegmentFixed:
         samples[10] = value
         buf = SegmentBuffer.from_samples(samples, 7)
         with pytest.raises(ValueError, match=re.escape(message)):
-            fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=4, fixed=(5, 28)))
+            fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=4, fixed=True))
         np.testing.assert_array_equal(buf.data[:696], samples)
 
     def test_non_finite_sample_reported_first(self, bank):
@@ -364,33 +346,33 @@ class TestEncodeSegmentFixed:
         samples[[3, 10]] = [100.0, np.nan]
         with pytest.raises(ValueError, match="non-finite sample nan at index 10"):
             fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
-                                    EncoderConfig(sps=4, fixed=(5, 28)))
+                                    EncoderConfig(sps=4, fixed=True))
 
     def test_direct_call_checks_the_threshold(self, bank):
         samples = np.random.default_rng(59).uniform(-31.9, 31.9, 696)
         message = "threshold 100.0 outside the Q5.28 range [-32.0, 31.99999999627471]"
         with pytest.raises(ValueError, match=re.escape(message)):
             fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
-                                    EncoderConfig(sps=4, threshold=100.0, fixed=(5, 28)))
+                                    EncoderConfig(sps=4, threshold=100.0, fixed=True))
 
     def test_float_config_is_an_error(self, bank):
-        # without config.fixed there is no format: no silent Q5.28, whose
-        # range this threshold is outside
+        # no silent switch to the fixed datapath, whose range this
+        # threshold is outside
         samples = np.random.default_rng(59).uniform(-31.9, 31.9, 696)
-        with pytest.raises(ValueError, match=re.escape("needs a format (config.fixed)")):
+        with pytest.raises(ValueError, match=re.escape("datapath needs config.fixed")):
             fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
                                     EncoderConfig(sps=4, threshold=100.0))
 
     def test_zero_buffer_with_threshold(self, bank):
         buf = SegmentBuffer(np.zeros(2048))
-        config = EncoderConfig(sps=16, threshold=0.01, fixed=(5, 28))
+        config = EncoderConfig(sps=16, threshold=0.01, fixed=True)
         assert fx.encode_segment_fixed(buf, bank, config) == []
 
     def test_recovers_placed_component(self, bank):
         buf = SegmentBuffer(np.zeros(2048))
         idx = (100 + np.arange(bank.kernel_length)) % 2048
         buf.data[idx] += 0.5 * bank.samples_matrix[7]
-        config = EncoderConfig(sps=1, fixed=(5, 28))
+        config = EncoderConfig(sps=1, fixed=True)
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert len(codes) == 1
         assert (codes[0].m, codes[0].tau) == (7, 100)
@@ -399,15 +381,15 @@ class TestEncodeSegmentFixed:
     def test_buffer_holds_quantized_residual(self, bank):
         rng = np.random.default_rng(55)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=4, fixed=(5, 28))
+        config = EncoderConfig(sps=4, fixed=True)
         fx.encode_segment_fixed(buf, bank, config)
-        scaled = buf.data * fx.Q5_28.scale
+        scaled = buf.data * 2.0 ** FRAC
         np.testing.assert_array_equal(scaled, np.rint(scaled))
 
     def test_energy_trace_net_decrease(self, bank):
         rng = np.random.default_rng(56)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=8, fixed=(5, 28))
+        config = EncoderConfig(sps=8, fixed=True)
         (codes,), (trace,) = step_fixed(buf.data[None], 0, bank, config)
         assert len(trace) == len(codes) + 1
         assert trace[-1] < trace[0]
@@ -416,15 +398,34 @@ class TestEncodeSegmentFixed:
         rng = np.random.default_rng(58)
         flag = fx.SaturationFlag()
         fx.encode_segment_fixed(SegmentBuffer.from_samples(rng.uniform(-1, 1, 696)),
-                                bank, EncoderConfig(sps=16, fixed=(5, 28)), flag=flag)
+                                bank, EncoderConfig(sps=16, fixed=True), flag=flag)
         assert not flag
+
+    def test_full_scale_pcm_never_saturates(self, bank):
+        # 16-bit PCM reads to [-1, 1): a segment of norm at most sqrt(696) =
+        # 26.4 against unit-norm kernels. The worst case gives each segment
+        # the signs of the 696 taps of one kernel that hold the most of its
+        # L1 norm; with full-scale noise and DC it peaks near 20, not 32.
+        full_scale = np.array([-32768, 32767]) / 32768.0
+        segments = []
+        for kernel in bank.samples_matrix:
+            start = int(np.argmax(np.convolve(np.abs(kernel), np.ones(696), "valid")))
+            segments.append(full_scale[(kernel[start:start + 696] > 0).astype(int)])
+        rng = np.random.default_rng(73)
+        segments += [full_scale[rng.integers(0, 2, 696)], np.full(696, -1.0)]
+        flag = fx.SaturationFlag()
+        codes = encoder.encode_stream(np.concatenate(segments), bank,
+                                      EncoderConfig(sps=64, fixed=True), flag)
+        assert len(codes) == 64 * len(segments)
+        assert not flag
+        assert 16.0 < max(abs(c.s) for c in codes) < 26.4
 
     def test_saturation_flag_on_a_clipped_subtraction(self, bank):
         # seven full-scale impulses: no correlation reaches the format's
         # limit, but a subtraction pushes a sample past it
         samples = np.zeros(696)
         samples[[300, 301, 304, 305, 306, 310, 324]] = [-31.9] + [31.9] * 6
-        config = EncoderConfig(sps=2, fixed=(5, 28))
+        config = EncoderConfig(sps=2, fixed=True)
         _, clips = full_recompute_fixed(SegmentBuffer.from_samples(samples), bank, config)
         flag = fx.SaturationFlag()
         codes = fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
@@ -440,15 +441,15 @@ class TestEncodeSegmentFixed:
         buf.data[100:100 + bank.kernel_length] = 40.0 * bank.samples_matrix[7]
         assert np.max(np.abs(buf.data)) < 16.0
         flag = fx.SaturationFlag()
-        codes = fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=1, fixed=(5, 28)),
+        codes = fx.encode_segment_fixed(buf, bank, EncoderConfig(sps=1, fixed=True),
                                         flag=flag)
-        assert fx.to_fixed(codes[0].s) in (fx.Q5_28.raw_min, fx.Q5_28.raw_max)
+        assert fx.to_fixed(codes[0].s) in (RAW_MIN, RAW_MAX)
         assert flag
 
     def test_iteration_numbers(self, bank):
         rng = np.random.default_rng(57)
         buf = SegmentBuffer.from_samples(rng.uniform(-1, 1, 696))
-        config = EncoderConfig(sps=5, fixed=(5, 28))
+        config = EncoderConfig(sps=5, fixed=True)
         codes = fx.encode_segment_fixed(buf, bank, config)
         assert [c.iteration for c in codes] == list(range(5))
 
@@ -459,29 +460,28 @@ def full_recompute_fixed(buffer, bank, config):
     Returns the codes and the number of subtractions that clipped the
     residual or the product.
     """
-    fmt = fx.QFormat(*config.fixed)
-    tables = fx._tables_for(bank, fmt)
-    raw = fx.to_fixed(buffer.data, fmt)
-    threshold_raw = fx.to_fixed(config.threshold, fmt)
+    tables = fx._tables_for(bank)
+    raw = fx.to_fixed(buffer.data)
+    threshold_raw = fx.to_fixed(config.threshold)
     offsets = np.arange(bank.kernel_length)
     codes = []
     clips = 0
     for iteration in range(config.sps):
-        r = fx._correlate_raw_gemm(raw, tables, fmt)
+        r = fx._correlate_raw_gemm(raw, tables)
         m, u = divmod(int(np.argmax(np.abs(r))), FFT_SIZE)
         s_raw = int(r[m, u])
         if abs(s_raw) < threshold_raw:
             break
         tau = u if u < MAX_SHIFT else u - FFT_SIZE
-        codes.append(Code(m, tau, fx.to_float(s_raw, fmt),
+        codes.append(Code(m, tau, fx.to_float(s_raw),
                           buffer.segment_index, iteration))
         idx = (u + offsets) % FFT_SIZE
-        product = fx.q_mul(s_raw, tables.kernel_raw[m], fmt)
+        product = fx.q_mul(s_raw, tables.kernel_raw[m])
         update = raw[idx] - product
-        clips += bool(np.any((product != fx._rounded_product(s_raw, tables.kernel_raw[m], fmt))
-                             | (update < fmt.raw_min) | (update > fmt.raw_max)))
-        raw[idx] = np.clip(update, fmt.raw_min, fmt.raw_max)
-    buffer.data[:] = fx.to_float(raw, fmt)
+        clips += bool(np.any((product != fx._rounded_product(s_raw, tables.kernel_raw[m]))
+                             | (update < RAW_MIN) | (update > RAW_MAX)))
+        raw[idx] = np.clip(update, RAW_MIN, RAW_MAX)
+    buffer.data[:] = fx.to_float(raw)
     return codes, clips
 
 
@@ -531,7 +531,7 @@ class TestPrunedRefreshFixed:
         rng = np.random.default_rng(60)
         for index in range(2):
             codes, _ = self.assert_parity(bank, rng.uniform(-1, 1, 696),
-                                          EncoderConfig(sps=256, fixed=(5, 28)), index)
+                                          EncoderConfig(sps=256, fixed=True), index)
             assert len(codes) == 256
 
     def test_two_tones_sps_64(self, bank):
@@ -540,12 +540,12 @@ class TestPrunedRefreshFixed:
         for index in range(4):
             f1, f2 = rng.uniform(60.0, 7000.0, 2)
             tones = 0.4 * np.sin(2 * np.pi * f1 * t) + 0.1 * np.cos(2 * np.pi * f2 * t)
-            self.assert_parity(bank, tones, EncoderConfig(sps=64, fixed=(5, 28)), index)
+            self.assert_parity(bank, tones, EncoderConfig(sps=64, fixed=True), index)
 
     def test_silence_ties_to_first_row_and_lag(self, bank, monkeypatch):
         sizes = record_candidates(monkeypatch)
         codes, _ = self.assert_parity(bank, np.zeros(696),
-                                      EncoderConfig(sps=4, fixed=(5, 28)))
+                                      EncoderConfig(sps=4, fixed=True))
         assert [(c.m, c.tau, c.s) for c in codes] == [(0, 0, 0.0)] * 4
         # every row is refreshed in each of the four iterations, with every lag
         assert sizes == [FFT_SIZE] * (4 * bank.kernel_count)
@@ -562,7 +562,7 @@ class TestPrunedRefreshFixed:
             sizes.clear()
             buffer = SegmentBuffer(np.resize(samples, FFT_SIZE), index)
             pruned = SegmentBuffer(buffer.data.copy(), index)
-            config = EncoderConfig(sps=4, fixed=(5, 28))
+            config = EncoderConfig(sps=4, fixed=True)
             want, _ = full_recompute_fixed(buffer, bank, config)
             assert fx.encode_segment_fixed(pruned, bank, config) == want
             np.testing.assert_array_equal(pruned.data, buffer.data)
@@ -571,13 +571,13 @@ class TestPrunedRefreshFixed:
 
     def test_zero_budget(self, bank):
         samples = np.random.default_rng(62).uniform(-1, 1, 696)
-        codes, _ = self.assert_parity(bank, samples, EncoderConfig(sps=0, fixed=(5, 28)))
+        codes, _ = self.assert_parity(bank, samples, EncoderConfig(sps=0, fixed=True))
         assert codes == []
 
     def test_feedback_stop(self, bank):
         samples = 0.05 * np.random.default_rng(63).uniform(-1, 1, 696)
         codes, _ = self.assert_parity(
-            bank, samples, EncoderConfig(sps=64, threshold=0.07, fixed=(5, 28)))
+            bank, samples, EncoderConfig(sps=64, threshold=0.07, fixed=True))
         assert 0 < len(codes) < 64
 
     def test_full_scale_reaches_the_clip_fallback(self, bank):
@@ -590,12 +590,12 @@ class TestPrunedRefreshFixed:
                    for f, phase in ((2806.1, 1.98), (2918.2, 0.11), (3682.4, 0.45))]
         for index, samples in enumerate(inputs):
             _, clips = self.assert_parity(bank, samples,
-                                          EncoderConfig(sps=16, fixed=(5, 28)), index)
+                                          EncoderConfig(sps=16, fixed=True), index)
             assert clips > 0
 
     def test_quantized_peak_bound_is_sound(self, bank):
-        tables = fx._tables_for(bank, fx.Q5_28)
-        spectra = np.fft.rfft(tables.kernel_raw / fx.Q5_28.scale, n=FFT_SIZE, axis=1)
+        tables = fx._tables_for(bank)
+        spectra = np.fft.rfft(tables.kernel_raw / 2.0 ** FRAC, n=FFT_SIZE, axis=1)
         for m in range(bank.kernel_count):
             cross = np.fft.irfft(spectra[m] * np.conj(spectra), n=FFT_SIZE, axis=1)
             assert np.all(tables.bank.peak_bound[m] >= np.max(np.abs(cross), axis=1))
@@ -603,7 +603,7 @@ class TestPrunedRefreshFixed:
     def test_spectrum_bound_caps_every_screen(self, bank):
         # noise, a tone and a +-31.9 square wave, whose screens clip: no
         # row's peak |screen| lies above |rfft(raw)| @ the quantized bank's cap
-        tables = fx._tables_for(bank, fx.Q5_28)
+        tables = fx._tables_for(bank)
         rng = np.random.default_rng(67)
         t = np.arange(696) / 16000.0
         windows = encoder.segment_stream(np.concatenate(
@@ -615,34 +615,34 @@ class TestPrunedRefreshFixed:
         prod = np.empty((bank.kernel_count, FFT_SIZE // 2 + 1), dtype=complex)
         out = np.empty((bank.kernel_count, FFT_SIZE))
         for spectrum, cap in zip(spectra, caps):
-            screen = fx._correlate_raw_fft(spectrum, tables, fx.Q5_28, rows, prod, out)
+            screen = fx._correlate_raw_fft(spectrum, tables, rows, prod, out)
             assert np.all(np.max(np.abs(screen), axis=1) <= cap)
 
     def test_cap_prunes_the_first_refresh_of_a_tone(self, bank, monkeypatch):
         rows = []
         original = fx._correlate_raw_fft
 
-        def counting(spectrum, tables, fmt, chunk, prod, out):
+        def counting(spectrum, tables, chunk, prod, out):
             rows.append(len(chunk))
-            return original(spectrum, tables, fmt, chunk, prod, out)
+            return original(spectrum, tables, chunk, prod, out)
 
         monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
         tone = 0.3 * np.sin(2 * np.pi * 440 * np.arange(696) / 16000.0)
         for sps in (1, 16):
             rows.clear()
-            self.assert_parity(bank, tone, EncoderConfig(sps=sps, fixed=(5, 28)))
+            self.assert_parity(bank, tone, EncoderConfig(sps=sps, fixed=True))
             if sps == 1:  # one refresh: the cap leaves out the far kernels
                 assert sum(rows) < bank.kernel_count
 
     @pytest.mark.parametrize("sps", [2, 8])
     def test_loud_tone_past_the_format(self, bank, sps):
-        # A 0.9 tone at 440 Hz correlates far past Q0.33's range of [-1, 1):
+        # A 28 tone at 440 Hz correlates far past Q5.28's range of [-32, 32):
         # the screens clip, while the caps and the root-mean-square floors,
         # read from the unclipped spectrum, do not, so floors sit above
         # clipped peaks. The codes stay those of the exact recompute.
         t = np.arange(3200) / 16000.0
-        samples = 0.9 * np.sin(2 * np.pi * 440.0 * t)
-        config = EncoderConfig(sps=sps, fixed=(0, 33))
+        samples = 28.0 * np.sin(2 * np.pi * 440.0 * t)
+        config = EncoderConfig(sps=sps, fixed=True)
         windows = encoder.segment_stream(samples, 696)
         codes = encoder._encode_block(windows, 0, bank, config)
         for i in range(len(windows)):
@@ -654,26 +654,25 @@ class TestPrunedRefreshFixed:
         # Over all 1600 kernel pairs (m, n): subtracting a product within half
         # a unit of s times kernel m moves row n by at most the step, both for
         # q_mul's own rounding and for the worst rounding of exact ties.
-        fmt = fx.Q5_28
-        tables = fx._tables_for(bank, fmt)
+        tables = fx._tables_for(bank)
         rng = np.random.default_rng(65)
         raw = fx.to_fixed(np.pad(0.5 * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)))
-        before = fx._correlate_raw_gemm(raw, tables, fmt)
+        before = fx._correlate_raw_gemm(raw, tables)
         offsets = np.arange(bank.kernel_length)
         # s = 0.5: s_raw times an odd tap lies exactly between two integers,
         # so either neighbour is a valid product there
-        tie_s_raw = 1 << (fmt.frac_bits - 1)
+        tie_s_raw = 1 << (FRAC - 1)
         for m in range(bank.kernel_count):
             idx = (int(rng.integers(FFT_SIZE)) + offsets) % FFT_SIZE
-            s_raw = int(rng.integers(-8 * fmt.scale, 8 * fmt.scale))
+            s_raw = int(rng.integers(-8 << FRAC, 8 << FRAC))
             after_raw = raw.copy()
-            after_raw[idx] -= fx.q_mul(s_raw, tables.kernel_raw[m], fmt)
-            change = np.abs(fx._correlate_raw_gemm(after_raw, tables, fmt) - before)
+            after_raw[idx] -= fx.q_mul(s_raw, tables.kernel_raw[m])
+            change = np.abs(fx._correlate_raw_gemm(after_raw, tables) - before)
             assert np.all(change.max(axis=1) <= fx._peak_step(tables, m, s_raw)), m
 
             exact = tie_s_raw * tables.kernel_raw[m]
-            low = exact >> fmt.frac_bits
-            tie = (exact & (fmt.scale - 1)) != 0
+            low = exact >> FRAC
+            tie = (exact & ((1 << FRAC) - 1)) != 0
             step = fx._peak_step(tables, m, tie_s_raw)
             for n in range(bank.kernel_count):
                 # round every tie so that it adds to row n's change at the shared lag
@@ -681,21 +680,21 @@ class TestPrunedRefreshFixed:
                 direction = np.sign(int(tables.kernel_raw[m] @ kernel_n)) or 1
                 after_raw = raw.copy()
                 after_raw[idx] -= low + (tie & (direction * kernel_n > 0))
-                row = fx._correlate_raw_gemm(after_raw, tables, fmt, slice(n, n + 1))
+                row = fx._correlate_raw_gemm(after_raw, tables, slice(n, n + 1))
                 assert np.max(np.abs(row[0] - before[n])) <= step[n], (m, n)
 
     def test_refreshes_fewer_than_half_the_rows(self, bank, monkeypatch):
         rows = []
         original = fx._correlate_raw_fft
 
-        def counting(spectrum, tables, fmt, chunk, prod, out):
+        def counting(spectrum, tables, chunk, prod, out):
             rows.append(len(chunk))
-            return original(spectrum, tables, fmt, chunk, prod, out)
+            return original(spectrum, tables, chunk, prod, out)
 
         monkeypatch.setattr(fx, "_correlate_raw_fft", counting)
         samples = np.random.default_rng(66).uniform(-1, 1, 696)
         fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
-                                EncoderConfig(sps=64, fixed=(5, 28)))
+                                EncoderConfig(sps=64, fixed=True))
         assert sum(rows) < 0.5 * 64 * bank.kernel_count
 
 
@@ -712,7 +711,7 @@ class TestBlockPursuitFixed:
                 0.15 * np.sin(2 * np.pi * 3000 * t), 0.06 * np.sin(2 * np.pi * 800 * t)]
 
     def test_mixed_block_matches_each_segment_alone(self, bank):
-        config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
+        config = EncoderConfig(sps=8, threshold=0.2, fixed=True)
         segments = self.segments()
         windows = encoder.segment_stream(np.concatenate(segments), 696)
         flag = fx.SaturationFlag()
@@ -732,7 +731,7 @@ class TestBlockPursuitFixed:
     def test_stepping_one_code_at_a_time_matches_one_call(self, bank):
         # the engine keeps no state between calls beyond the residuals, so
         # energies can be read between steps (as parity_harness does)
-        config = EncoderConfig(sps=8, threshold=0.2, fixed=(5, 28))
+        config = EncoderConfig(sps=8, threshold=0.2, fixed=True)
         windows = encoder.segment_stream(np.concatenate(self.segments()), 696)
         stepped = windows.copy()
         codes = encoder._encode_block(windows, 4, bank, config)
@@ -753,7 +752,7 @@ class TestBlockPursuitFixed:
         placed = np.zeros(FFT_SIZE)
         placed[200:200 + bank.kernel_length] = 5 * bank.samples_matrix[30]
         segments = [quiet[0], placed, quiet[1]]
-        config = EncoderConfig(sps=sps, fixed=(5, 28))
+        config = EncoderConfig(sps=sps, fixed=True)
         windows = np.array(segments)
         flag = fx.SaturationFlag()
         codes = encoder._encode_block(windows, 0, loud, config, flag)
@@ -774,7 +773,7 @@ class TestBlockPursuitFixed:
     def test_stream_of_blocks(self, bank, count):
         rng = np.random.default_rng(71)
         samples = 0.4 * rng.uniform(-1, 1, count * 696 - 300)
-        config = EncoderConfig(sps=4, threshold=0.05, fixed=(5, 28))
+        config = EncoderConfig(sps=4, threshold=0.05, fixed=True)
         per_segment = [code for start in range(0, len(samples), 696)
                        for code in fx.encode_segment_fixed(SegmentBuffer.from_samples(
                            samples[start:start + 696], start // 696), bank, config)]
@@ -782,7 +781,7 @@ class TestBlockPursuitFixed:
 
     def test_thread_counts_give_identical_codes(self, bank, monkeypatch):
         samples = np.concatenate(self.segments() * 3)[:-100]
-        config = EncoderConfig(sps=4, threshold=0.2, fixed=(5, 28))
+        config = EncoderConfig(sps=4, threshold=0.2, fixed=True)
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("SPIKETRUM_THREADS", threads)
@@ -857,7 +856,7 @@ def test_golden_digests(bank, name):
     datapath is not pinned: its last bits may vary between FFT builds).
     """
     make_inputs, sps, threshold, codes_digest, residual_digest = GOLDEN[name]
-    config = EncoderConfig(sps=sps, threshold=threshold, fixed=(5, 28))
+    config = EncoderConfig(sps=sps, threshold=threshold, fixed=True)
     codes_hash, residual_hash = hashlib.sha256(), hashlib.sha256()
     for index, samples in enumerate(make_inputs()):
         buffer = SegmentBuffer.from_samples(samples, index)
@@ -880,7 +879,7 @@ def test_golden_stream_digest(bank, monkeypatch):
         (2.0 * lcg_uniform(4, 696) - 1.0) / 32, square(2806.1, 0.63) / 8192,
         tones(5) / 256, tones(6) / 64, tones(7) / 32]
     samples = np.concatenate(segments)[:-100]
-    config = EncoderConfig(sps=16, threshold=0.01, fixed=(5, 28))
+    config = EncoderConfig(sps=16, threshold=0.01, fixed=True)
     for threads in ("1", "2"):
         monkeypatch.setenv("SPIKETRUM_THREADS", threads)
         flag = fx.SaturationFlag()
