@@ -15,22 +15,40 @@ from .kernel_bank import FFT_SIZE
 SNR_CAP_DB = 300.0
 
 
-def _overlap_add(starts, kernels, scales, bank, length):
-    """Sum of scales[i] * kernel kernels[i] placed at starts[i], in order.
+def _check_kernels(kernels, bank):
+    """Raise naming the first kernel index outside the bank."""
+    bad = (kernels < 0) | (kernels >= bank.kernel_count)
+    if bad.any():
+        raise ValueError(f"kernel index {kernels[bad][0]} outside bank of {bank.kernel_count}")
 
-    Samples falling outside [0, length) are dropped; the kernels are checked first.
+
+def _overlap_add(starts, rows, table, length, scales=None):
+    """Sum of table[rows[i]], times scales[i] if given, placed at starts[i].
+
+    Each output sample sums its events in the order given, one slice add
+    per event, so the result does not depend on how the work is arranged.
+    Samples falling outside [0, length) are dropped.
     """
-    if kernels and not (min(kernels) >= 0 and max(kernels) < bank.kernel_count):
-        bad = next(m for m in kernels if not 0 <= m < bank.kernel_count)
-        raise ValueError(f"kernel index {bad} outside bank of {bank.kernel_count}")
     out = np.zeros(length)
-    samples = bank.samples_matrix
-    width = bank.kernel_length
-    for start, m, scale in zip(starts, kernels, scales):
-        lo = max(start, 0)
-        hi = min(start + width, length)
-        if lo < hi:
-            out[lo:hi] += scale * samples[m, lo - start:hi - start]
+    width = table.shape[1]
+    # clipped first, so starts + width cannot overflow; a start clipped to
+    # -width or length still covers no sample
+    starts = np.clip(starts, -width, length).astype(np.int64)
+    lo = np.maximum(starts, 0)
+    hi = np.minimum(starts + width, length)
+    keep = np.flatnonzero(lo < hi)
+    events = zip(lo[keep].tolist(), hi[keep].tolist(),
+                 (lo - starts)[keep].tolist(), (hi - starts)[keep].tolist(),
+                 rows[keep].tolist())
+    # adding into a view skips the write-back that out[a:b] += x makes
+    if scales is None:
+        for a, b, first, last, row in events:
+            view = out[a:b]
+            view += table[row, first:last]
+    else:
+        for (a, b, first, last, row), scale in zip(events, scales[keep].tolist()):
+            view = out[a:b]
+            view += scale * table[row, first:last]
     return out
 
 
@@ -41,19 +59,32 @@ def reconstruct_from_codes(codes, bank, output_length):
     range are dropped.
     """
     seg_len = bank.segment_length
-    return _overlap_add([c.segment_index * seg_len + c.tau for c in codes],
-                        [c.m for c in codes], [c.s for c in codes],
-                        bank, output_length)
+    kernels = np.array([c.m for c in codes])
+    _check_kernels(kernels, bank)
+    return _overlap_add(np.array([c.segment_index * seg_len + c.tau for c in codes]),
+                        kernels, bank.samples_matrix, output_length,
+                        np.array([c.s for c in codes], dtype=np.float64))
 
 
 def reconstruct_from_spikes(spikes, bank, channel_map, output_length):
     """Like reconstruct_from_codes with the channel's level as intensity.
 
-    The spike time already encodes segment start plus clamped shift.
+    The spike time already encodes segment start plus clamped shift. Each
+    kernel is scaled once per (kernel, level): row c of the table is channel
+    c's product, and each spike adds a slice of its channel's row. Each
+    output sample sums its spikes in the train's order, so the output does
+    not depend on how the work is arranged.
     """
-    kernel, level = channel_map.decode(spikes["channel"])
-    return _overlap_add(spikes["time"].tolist(), kernel.tolist(), level.tolist(),
-                        bank, output_length)
+    channel = spikes["channel"]
+    _check_kernels(channel_map.decode(channel)[0], bank)
+    kernel, level = channel_map.decode(np.arange(channel_map.total_channels))
+    # a map wider than the bank has rows past it: no spike reads them (checked
+    # above), so mode="clip" only has to fill them with something
+    table = bank.samples_matrix.take(kernel, axis=0, mode="clip")
+    table *= level[:, None]
+    # clipped in uint64: a time past int64 must not wrap to a negative start
+    starts = np.minimum(spikes["time"], output_length).astype(np.int64)
+    return _overlap_add(starts, channel, table, output_length)
 
 
 def reconstruct_segment_window(codes, bank):
@@ -100,7 +131,7 @@ def spike_entropy(spikes, total_channels):
 
 def sparsity_percent(spikes, total_channels):
     """Percentage of channels that fired at least once."""
-    return 100.0 * len(np.unique(spikes["channel"])) / total_channels
+    return 100.0 * int(np.count_nonzero(np.bincount(spikes["channel"]))) / total_channels
 
 
 def encoding_report(samples, codes, spikes, bank, channel_map, sample_rate):

@@ -517,12 +517,15 @@ CSV_HEADER = ["segment", "iteration", "kernel", "tau", "intensity"]
 
 
 def write_codes_csv(codes, path):
-    """Write codes as CSV, intensities at 9 significant digits."""
+    """Write codes as CSV, intensities at 9 significant digits.
+
+    The bytes are csv.writer's: no field needs quoting, and rows end in
+    its default \\r\\n.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for c in codes:
-            writer.writerow([c.segment_index, c.iteration, c.m, c.tau, f"{c.s:.9g}"])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.writelines([f"{c.segment_index},{c.iteration},{c.m},{c.tau},{c.s:.9g}\r\n"
+                       for c in codes])
 
 
 def read_codes_csv(path):

@@ -266,9 +266,11 @@ def load_bank(path):
     ------
     BankFormatError
         On wrong magic, unsupported version, a kernel count or length the
-        bank rejects, truncation, trailing bytes, or a kernel with a
-        non-finite tap or a norm off 1 (the pursuit needs unit-norm
-        kernels); the message names the failing byte offset.
+        bank rejects, a sample rate that is not finite and positive, a
+        frequency range outside 0 < fmin < fmax <= rate / 2, an order
+        below 1, truncation, trailing bytes, or a kernel with a non-finite
+        tap or a norm off 1 (the pursuit needs unit-norm kernels); the
+        message names the failing byte offset.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -286,6 +288,15 @@ def load_bank(path):
         name, at = ("count", 8) if count < 1 else ("length", 12)
         raise BankFormatError(f"bad bank header at offset {at} (kernel {name}): "
                               f"{exc}") from exc
+    nyquist = rate / 2
+    for at, name, value, ok, need in (
+            (16, "sample rate", rate, 0.0 < rate < np.inf, "finite and above 0"),
+            (24, "fmin", fmin, 0.0 < fmin < nyquist, "0 < fmin < sample rate / 2"),
+            (32, "fmax", fmax, fmin < fmax <= nyquist, "fmin < fmax <= sample rate / 2"),
+            (40, "order", order, order >= 1, "at least 1")):
+        if not ok:
+            raise BankFormatError(f"bad bank header at offset {at} ({name}): "
+                                  f"{value!r}, need {need}")
     offset = _HEADER.size
     record = 8 + 8 * length
     end = offset + count * record

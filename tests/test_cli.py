@@ -341,6 +341,24 @@ class TestStartup:
         assert done.stdout.splitlines() == [
             "[]", "115 segments, rank correlation (time vs kernel): 0.9989", "[]"]
 
+    def test_a_report_leaves_numpy_ma_out(self):
+        # np.unique imports numpy.ma on first use: 20 ms and over 1 MB of
+        # memory for the first report of a process
+        src = os.path.dirname(os.path.dirname(os.path.abspath(spiketrum.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        script = ("import sys, numpy as np\n"
+                  "from spiketrum import build_bank, decoder, itp\n"
+                  "from spiketrum.encoder import Code\n"
+                  "bank, channel_map = build_bank(), itp.ChannelMap()\n"
+                  "codes = [Code(3, 10, 0.5, 0), Code(7, -20, 30.0, 1)]\n"
+                  "spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)\n"
+                  "report = decoder.encoding_report(np.ones(2000), codes, spikes, bank,\n"
+                  "                                 channel_map, bank.sample_rate)\n"
+                  "print(report['sparsity_percent'], 'numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, check=True)
+        assert done.stdout.split() == [str(100 * 2 / 120), "False"]
+
 
 class TestParser:
     def test_subcommand_required(self):

@@ -1,12 +1,14 @@
 """Reconstruction and quality metrics."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from spiketrum import decoder, itp
-from spiketrum.encoder import Code, EncoderConfig, encode_stream
+from spiketrum.encoder import Code, EncoderConfig, encode_stream, write_codes_csv
 
 
 def train(times, channels):
@@ -42,8 +44,11 @@ class TestReconstructFromCodes:
                                    bank.samples_matrix[3][50:], atol=1e-15)
 
     def test_tail_past_length_dropped(self, bank):
-        code = Code(m=3, tau=0, s=1.0, segment_index=0)
-        out = decoder.reconstruct_from_codes([code], bank, 100)
+        # starts past int64 (a code CSV may hold any integer) are dropped too
+        codes = [Code(m=3, tau=0, s=1.0, segment_index=0),
+                 Code(m=3, tau=-5, s=1.0, segment_index=2**70),
+                 Code(m=3, tau=-2**64, s=1.0, segment_index=0)]
+        out = decoder.reconstruct_from_codes(codes, bank, 100)
         np.testing.assert_allclose(out, bank.samples_matrix[3][:100], atol=1e-15)
 
     def test_overlapping_codes_sum(self, bank):
@@ -161,7 +166,9 @@ class TestEntropy:
 class TestSparsity:
     def test_fraction_of_channels_used(self):
         spikes = train([0, 1, 2, 3], [0, 0, 5, 11])
-        assert decoder.sparsity_percent(spikes, 120) == pytest.approx(2.5)
+        sparsity = decoder.sparsity_percent(spikes, 120)
+        assert sparsity == pytest.approx(2.5)
+        assert type(sparsity) is float  # like the report's other keys
 
     def test_no_spikes(self):
         sparsity = decoder.sparsity_percent(train([], []), 120)
@@ -209,3 +216,48 @@ class TestEncodingReport:
         assert d["code_count"] == 0
         assert d["snr_code_db"] is None
         assert d["snr_spike_db"] is None
+
+
+def dense_codes(seed, segments, per_segment=64):
+    """Seeded dense codes: tau over [-1024, 1023] and a log-uniform |s| over
+    1e-3..1e2, which lands on all three levels."""
+    rng = np.random.default_rng(seed)
+    count = segments * per_segment
+    m = rng.integers(0, 40, count)
+    tau = rng.integers(-1024, 1024, count)
+    s = np.exp(rng.uniform(math.log(1e-3), math.log(1e2), count))
+    s *= rng.choice((-1.0, 1.0), count)
+    return [Code(int(m[i]), int(tau[i]), float(s[i]), i // per_segment, i % per_segment)
+            for i in range(count)]
+
+
+def test_golden_decode_digest(bank, channel_map, tmp_path):
+    """The decode chain, pinned bit for bit.
+
+    Both reconstructions add each event's product in the train's order, and
+    the CSV formats each code alone, so their bytes do not depend on the
+    platform. The output length cuts the last kernels' tails, and two spikes
+    past any length (at 2**63 and 2**64 - 1) must be dropped. The report's
+    floats come from BLAS dot products, logarithms and Python's float sum,
+    whose last bits may vary between builds and versions, so they are pinned
+    to 12 significant digits.
+    """
+    codes = dense_codes(17, 12)
+    length = 12 * 696 + 300
+    spikes = itp.codes_to_spikes(codes, channel_map, bank.segment_length)
+    spikes = train(np.append(spikes["time"], np.array([2**63, 2**64 - 1], np.uint64)),
+                   np.append(spikes["channel"], [5, 119]))
+    samples = 0.3 * np.random.default_rng(18).uniform(-1, 1, length)
+    write_codes_csv(codes, tmp_path / "codes.csv")
+    report = decoder.encoding_report(samples, codes, spikes, bank, channel_map,
+                                     bank.sample_rate)
+    report = {k: float(f"{v:.12g}") if isinstance(v, float) else v
+              for k, v in report.items()}
+    digest = hashlib.sha256()
+    digest.update(decoder.reconstruct_from_codes(codes, bank, length).astype("<f8").tobytes())
+    digest.update(decoder.reconstruct_from_spikes(spikes, bank, channel_map, length)
+                  .astype("<f8").tobytes())
+    digest.update((tmp_path / "codes.csv").read_bytes())
+    digest.update(json.dumps(report).encode())
+    assert digest.hexdigest() == \
+        "85550f341e98e85221c2fb974dea5d4e925e13c22c589edfe681e3ba83616e41"
