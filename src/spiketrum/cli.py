@@ -175,15 +175,18 @@ def cmd_bench(args):
     samples = 0.5 * rng.uniform(-1.0, 1.0, int(args.seconds * bank.sample_rate))
     segments = -(-len(samples) // bank.segment_length)
     realtime = bank.sample_rate / bank.segment_length
-    paths = (args.path,) if args.path else ("direct", "fft")
-    for path in paths:
-        config = encoder.EncoderConfig(sps=args.sps, threshold=0.0, path=path)
+    configs = [(path, encoder.EncoderConfig(sps=args.sps, threshold=0.0, path=path))
+               for path in ((args.path,) if args.path else ("direct", "fft"))]
+    if not args.path:
+        configs.append(("fixed", encoder.EncoderConfig(sps=args.sps, threshold=0.0,
+                                                       fixed=True)))
+    for name, config in configs:
         start = time.perf_counter()
         encoder.encode_stream(samples, bank, config)
         elapsed = time.perf_counter() - start
         throughput = segments / elapsed
         verdict = "met" if throughput >= realtime else "not met"
-        print(f"{path}: {throughput:.2f} segments/s at sps {args.sps} "
+        print(f"{name}: {throughput:.2f} segments/s at sps {args.sps} "
               f"(real-time needs {realtime:.2f}: {verdict})")
     return 0
 
@@ -248,7 +251,7 @@ def build_parser():
     bench.add_argument("--sps", type=int, default=16,
                        help="max spikes per segment (default 16)")
     bench.add_argument("--path", choices=("direct", "fft"),
-                       help="bench one engine (default: both)")
+                       help="bench one float engine (default: both, then Q5.28)")
     bench.add_argument("--bank", help="kernel bank file (default: built in)")
     return parser
 

@@ -12,13 +12,17 @@ held in float64 (exact: |raw| <= 2**33): every correlation lag
 accumulated exactly and rounded once, the subtraction products rounded
 elementwise. Splitting 34-bit operands at bit 17 keeps partial products
 below 2**50 and 1353-tap correlation partials below 2**46, exact in int64
-and in float64 matrix products.
+and in float64 matrix products. The subtraction needs no split: its
+products pair |s_raw| <= 2**33 with quantized taps below 4 in magnitude
+(|kernel_raw| < 2**30), so |p| + 2**27 < 2**63 and each is one int64
+product, rounded by a shift. _tables_for rejects a bank with a larger tap;
+a unit-norm kernel's taps are at most 1.
 
 The quantized kernels k_q = kernel_raw / 2**28 are a KernelBank of their
 own, so the loop screens each row with the float engine
 (encoder.correlate_all_fft on that bank) in raw units, S = irfft(rfft(raw)
-* conj(rfft(k_q))), clipped to the format, within delta = _SCREEN_ERROR *
-||raw||_2 * max ||k_q||_2 of the exact value before rounding. Higham,
+* conj(rfft(k_q))), within delta = _SCREEN_ERROR * ||raw||_2 *
+max ||k_q||_2 of the exact value before rounding and clipping. Higham,
 Accuracy and Stability of Numerical Algorithms (2nd ed., SIAM 2002), ch.
 24, bounds a length-2048 FFT's relative error by about 11 * (1 + 4 *
 sqrt(2)) * 2**-53 = 8e-15; through three transforms, a product and the
@@ -28,15 +32,23 @@ For unit-norm kernels delta_max, the delta of 2048 samples at the
 format's limit, is below 0.4.
 
 Rounding moves a value by at most half a unit and clipping never widens a
-difference, so every exact integer lies within 0.5 + delta of its screen.
-A row's exact maximum therefore sits only at lags whose |screen| is
-within 1 + 2 * delta of the row's peak screen, and every other lag rounds
-below it. Such a candidate's screen rounds to its exact integer unless it
-lies within delta of a half-integer; then the row's candidates are
-computed exactly (_correlate_raw_gemm, also the tests' oracle). Each
-chunk of the lockstep refresh is reduced this way to every pair's exact
-peak, its first lag and value (_exact_peak). The winner is the smallest
-row at the largest exact |value|, then its first lag.
+difference, so every exact integer lies within 0.5 + delta of its screen
+clipped to the format. A row's exact maximum therefore sits only at lags
+whose clipped |screen| is within 1 + 2 * delta of the row's clipped peak,
+and every other lag rounds below it. Such a candidate's clipped screen
+rounds to its exact integer unless it lies within delta of a
+half-integer; then the row's candidates are computed exactly
+(_correlate_raw_gemm, also the tests' oracle). Each chunk of the lockstep
+refresh is reduced this way to every pair's exact peak, its first lag and
+value (_exact_peak). The winner is the smallest row at the largest exact
+|value|, then its first lag.
+
+The screen itself is never clipped. The clip is monotone, so a row's
+clipped peak is max(min(max S, RAW_MAX), -max(min S, RAW_MIN)); and as
+the cut is at least 1, the peak less the cut is at most RAW_MAX, so a
+clipped |screen| reaches it exactly where the unclipped |screen| does.
+The unclipped screen thus gives the same candidates, in the same order,
+and only their values are clipped.
 
 The datapath's cut is 1 + 2 * delta per segment. After a code
 (m, tau, s_raw) row n's bound rises by
@@ -84,6 +96,9 @@ RAW_MAX = (1 << 33) - 1
 
 _SPLIT = 17  # low-half width for the bit-17 operand split
 _SPLIT_MASK = (1 << _SPLIT) - 1
+
+# Largest tap magnitude (exclusive) the subtraction's int64 product allows
+_TAP_LIMIT = 4
 
 # Screen error bound relative to ||raw||_2 * max ||k_q||_2 (module docstring)
 _SCREEN_ERROR = 1e-12
@@ -208,6 +223,13 @@ def _tables_for(bank):
         tables = _tables_cache.get(bank)
         if tables is None:
             kernel_raw = to_fixed(bank.samples_matrix)
+            # _Fixed.subtract's one int64 product needs |kernel_raw| < 2**30
+            large = np.abs(kernel_raw) >= _TAP_LIMIT * SCALE
+            if large.any():
+                m, tap = np.argwhere(large)[0].tolist()
+                raise ValueError(
+                    f"kernel {m} tap {tap} is {float(bank.samples_matrix[m, tap])}: the "
+                    f"Q5.28 datapath needs every quantized tap below {_TAP_LIMIT} in magnitude")
             # exact: |kernel_raw| < 2**53
             quantized = dataclasses.replace(bank, samples_matrix=kernel_raw / SCALE)
             tables = _tables_cache[bank] = _FixedTables(kernel_raw, quantized)
@@ -237,26 +259,29 @@ def _correlate_raw_fft(spectrum, tables, rows, prod, out):
 
     spectrum is rfft(raw), one per entry of the index array rows or one
     for all of them; prod and out are workspaces as for
-    encoder.correlate_all_fft.
+    encoder.correlate_all_fft. The screen is not clipped to the format:
+    _exact_peak clips only the peaks and candidates it reads.
     """
-    screen = correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
-    return np.clip(screen, RAW_MIN, RAW_MAX, out=screen)
+    return correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
 
 
 def _exact_peak(screen, cut, delta, exact_row):
-    """Per row of screen: its peak |screen|, and the lag and exact value of
-    its largest exact |value|, the first such lag on ties.
+    """Per row of screen: its peak |screen| clipped to the format, and the
+    lag and exact value of its largest exact |value|, the first such lag on
+    ties.
 
-    cut and delta are per row. The candidates, lags whose |screen| is
-    within cut of the row's peak, hold every lag at the row's exact
-    maximum. Their screens round to the exact integers, unless one lies
-    within delta of a half-integer: then the row's candidates take
-    exact_row(j, lags).
+    screen is unclipped; the result is that of the clipped screen (module
+    docstring). cut (at least 1) and delta are per row. The candidates,
+    lags whose |screen| is within cut of the row's peak, hold every lag at
+    the row's exact maximum. Their clipped screens round to the exact
+    integers, unless one lies within delta of a half-integer: then the
+    row's candidates take exact_row(j, lags).
     """
-    magnitude = np.abs(screen)
-    peak = magnitude.max(axis=1)
-    row, lag = np.nonzero(magnitude >= (peak - cut)[:, None])
-    values = screen[row, lag]
+    peak = np.maximum(np.minimum(screen.max(axis=1), RAW_MAX),
+                      -np.maximum(screen.min(axis=1), RAW_MIN))
+    flat = np.flatnonzero(np.abs(screen) >= (peak - cut)[:, None])
+    row, lag = np.divmod(flat, screen.shape[1])
+    values = np.clip(screen.ravel()[flat], RAW_MIN, RAW_MAX)
     exact = np.rint(values)
     # a set, not np.unique, which imports numpy.ma (tens of ms, 1.7 MB)
     for j in set(row[np.abs(values - exact) >= (0.5 - delta)[row]].tolist()):
@@ -328,19 +353,28 @@ class _Fixed:
         return peak, np.abs(value), lag, value
 
     def subtract(self, window, m, s_raw):
-        """Take q_mul(s_raw, kernel m) from each row of window, saturating; the
-        rows' bound steps, +inf where a product or the residual clips."""
-        wide = _rounded_product(s_raw[:, None], self.tables.kernel_raw[m])
-        product = np.clip(wide, RAW_MIN, RAW_MAX)
-        update = window - product
-        over = np.any((product != wide) | (update < RAW_MIN) | (update > RAW_MAX), axis=1)
+        """Take q_mul(s_raw, kernel m) from each row of window, in place and
+        saturating; the rows' bound steps, +inf where a product or the
+        residual clips.
+
+        Each product is one int64 multiply, exact as the taps lie below 4
+        in magnitude (_tables_for), rounded to nearest even by adding
+        2**27 - 1 plus the kept part's lowest bit and shifting.
+        """
+        wide = self.tables.kernel_raw[m]  # a copy: the products are formed in place
+        wide *= s_raw.astype(np.int64)[:, None]
+        wide += ((wide >> FRAC_BITS) & 1) + ((1 << (FRAC_BITS - 1)) - 1)
+        wide >>= FRAC_BITS
+        over = (wide.max(axis=1) > RAW_MAX) | (wide.min(axis=1) < RAW_MIN)
+        window -= np.clip(wide, RAW_MIN, RAW_MAX, out=wide)
+        over |= (window.max(axis=1) > RAW_MAX) | (window.min(axis=1) < RAW_MIN)
         if self.flag is not None and (over.any() or
                                       np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX))):
             self.flag.seen = True
         # a clipped update is no longer s times a kernel: only the cap bounds a row
         step = _peak_step(self.tables, m, s_raw[:, None])
         step[over] = np.inf
-        return np.clip(update, RAW_MIN, RAW_MAX, out=update), step
+        return np.clip(window, RAW_MIN, RAW_MAX, out=window), step
 
 
 @dataclass

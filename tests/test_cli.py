@@ -320,6 +320,13 @@ class TestBench:
         stdout = capsys.readouterr().out
         assert "direct:" in stdout and "fft:" in stdout
 
+    def test_default_adds_the_fixed_datapath(self, capsys):
+        assert cli.main(["bench", "--seconds", "0.1", "--sps", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["direct", "fft", "fixed"]
+        assert all(" segments/s at sps 4 (real-time needs 22.99: " in line
+                   for line in lines)
+
     def test_zero_seconds_is_no_input(self, capsys):
         assert cli.main(["bench", "--seconds", "0"]) == 1
         assert "no input" in capsys.readouterr().err

@@ -191,13 +191,15 @@ class TestCorrelateFixed:
 
 
 def screen_of(raw, tables, rows=slice(None)):
-    """The float64 screen of raw in the given rows, zeros elsewhere."""
+    """The float64 screen of raw in the given rows, clipped to the format as
+    _exact_peak reads it, zeros elsewhere."""
     count = tables.kernel_raw.shape[0]
     chunk = np.arange(count)[rows]
     out = np.zeros((count, FFT_SIZE))
     prod = np.empty((len(chunk), FFT_SIZE // 2 + 1), dtype=complex)
-    out[chunk] = fx._correlate_raw_fft(np.fft.rfft(raw.astype(np.float64)), tables,
-                                       chunk, prod, np.empty((len(chunk), FFT_SIZE)))
+    out[chunk] = np.clip(fx._correlate_raw_fft(
+        np.fft.rfft(raw.astype(np.float64)), tables, chunk, prod,
+        np.empty((len(chunk), FFT_SIZE))), RAW_MIN, RAW_MAX)
     return out
 
 
@@ -289,8 +291,11 @@ class TestScreen:
         out = fx._correlate_raw_fft(spectra, tables, rows,
                                     np.empty((5, FFT_SIZE // 2 + 1), dtype=complex),
                                     np.empty((5, FFT_SIZE)))
+        # the amplitude-30 buffer's screens pass the format's limits: compare them
+        # as the pursuit reads them
         for j, (segment, row) in enumerate(zip(segments, rows)):
-            np.testing.assert_array_equal(out[j], screen_of(raws[segment], tables)[row])
+            np.testing.assert_array_equal(np.clip(out[j], RAW_MIN, RAW_MAX),
+                                          screen_of(raws[segment], tables)[row])
 
     def test_screens_near_a_rounding_boundary_take_the_exact_values(self, bank):
         # every screen moved to within delta of a half-integer, on the side
@@ -321,6 +326,46 @@ class TestScreen:
         # a chunk without row 1: row 2 holds the largest value
         _, lag, value = exact_peaks(screen[[0, 2, 3]], 0.0, exact[[0, 2, 3]])
         assert int(np.argmax(np.abs(value))) == 1 and (lag[1], value[1]) == (10, 1000)
+
+    @staticmethod
+    def assert_unclipped_equals_clipped(screen, delta):
+        """_exact_peak reads the unclipped screen as it reads the clipped one."""
+        clipped = np.clip(screen, RAW_MIN, RAW_MAX)
+        exact = np.rint(clipped)
+        unclipped_result = exact_peaks(screen, delta, exact)
+        clipped_result = exact_peaks(clipped, delta, exact)
+        for a, b in zip(unclipped_result, clipped_result):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(unclipped_result[0], np.max(np.abs(clipped), axis=1))
+        return unclipped_result
+
+    def test_screens_past_both_format_limits(self):
+        rng = np.random.default_rng(71)
+        screen = rng.uniform(-1e6, 1e6, (8, FFT_SIZE))
+        screen[0, [5, 900, 901]] = [2.0 ** 34, RAW_MAX + 0.3, 3e10]  # past RAW_MAX
+        screen[1, [7, 40]] = [-3e10, RAW_MIN - 0.2]                  # past RAW_MIN
+        screen[2, [3, 9]] = [5e10, RAW_MIN - 1.0]                    # past both
+        screen[3] = rng.uniform(RAW_MAX + 1.0, 1e11, FFT_SIZE)       # wholly above
+        screen[4] = rng.uniform(-1e11, RAW_MIN - 1.0, FFT_SIZE)      # wholly below
+        screen[5, [11, 12]] = [RAW_MIN, RAW_MAX - 0.4]               # peak exactly RAW_MIN
+        screen[6] = 0.0
+        peak, lag, value = self.assert_unclipped_equals_clipped(screen, 0.3)
+        np.testing.assert_array_equal(peak[:7], [2.0 ** 33 - 1, 2.0 ** 33, 2.0 ** 33,
+                                                 2.0 ** 33 - 1, 2.0 ** 33, 2.0 ** 33, 0.0])
+        assert list(zip(lag[:6].tolist(), value[:6].tolist())) == [
+            (5, RAW_MAX), (7, RAW_MIN), (9, RAW_MIN), (0, RAW_MAX), (0, RAW_MIN),
+            (11, RAW_MIN)]
+        # an all-zero row: every lag is a candidate, the first wins
+        assert (lag[6], value[6]) == (0, 0.0)
+
+    def test_random_screens_across_the_format_limits(self):
+        # rows from well inside the format to far past it, many of whose
+        # candidates lie near a half-integer and take the exact route
+        rng = np.random.default_rng(72)
+        scale = 10.0 ** rng.uniform(6.0, 11.0, (40, 1))
+        for _ in range(5):
+            screen = scale * rng.uniform(-1.0, 1.0, (40, FFT_SIZE))
+            self.assert_unclipped_equals_clipped(screen, 0.3)
 
 
 class TestEncodeSegmentFixed:
@@ -789,6 +834,64 @@ class TestBlockPursuitFixed:
             runs.append((encoder.encode_stream(samples, bank, config, flag), bool(flag)))
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][1]
+
+
+def split_product_subtract(tables, window, m, s_raw):
+    """_Fixed.subtract by the bit-17 split product: window, step, over, flag."""
+    wide = fx._rounded_product(s_raw[:, None], tables.kernel_raw[m])
+    product = np.clip(wide, RAW_MIN, RAW_MAX)
+    update = window - product
+    over = np.any((product != wide) | (update < RAW_MIN) | (update > RAW_MAX), axis=1)
+    flag = bool(over.any() or np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX)))
+    step = fx._peak_step(tables, m, s_raw[:, None])
+    step[over] = np.inf
+    return np.clip(update, RAW_MIN, RAW_MAX), step, over, flag
+
+
+class TestSubtract:
+    """The subtraction's one int64 product against the general split product."""
+
+    TAPS = [(1 << 30) - 1, -((1 << 30) - 1), 1 << 28, -(1 << 28), 1, -1, 0]
+    # the limits, +-1, exact ties (2**27 times an odd tap) and odd values
+    S_RAW = [RAW_MIN, RAW_MAX, 1, -1, 1 << 27, -(1 << 27), 3 << 27, 12345679,
+             -987654321, RAW_MAX - 2, RAW_MIN + 1]
+
+    @pytest.mark.parametrize("loud", [False, True])
+    def test_matches_the_split_product(self, bank, loud):
+        taps = np.resize(self.TAPS, bank.kernel_length)
+        kernel_raw = np.array([taps, -np.roll(taps, 3)])
+        odd = dataclasses.replace(bank, samples_matrix=kernel_raw / 2.0 ** FRAC)
+        tables = fx._tables_for(odd)
+        np.testing.assert_array_equal(tables.kernel_raw, kernel_raw)
+        rng = np.random.default_rng(74)
+        s_raw = np.array(self.S_RAW if loud else self.S_RAW[2:7], dtype=np.float64)
+        m = np.arange(len(s_raw)) % 2
+        span = (RAW_MIN, RAW_MAX) if loud else (-(1 << 20), 1 << 20)
+        window = rng.integers(*span, (len(s_raw), bank.kernel_length),
+                              endpoint=True).astype(np.float64)
+        want_window, want_step, want_over, want_flag = split_product_subtract(
+            tables, window, m, s_raw)
+        flag = fx.SaturationFlag()
+        path = fx._Fixed(odd, EncoderConfig(sps=1, fixed=True), flag)
+        got_window, got_step = path.subtract(window.copy(), m, s_raw)
+        np.testing.assert_array_equal(got_window, want_window)
+        np.testing.assert_array_equal(got_step, want_step)
+        np.testing.assert_array_equal(np.isinf(got_step).all(axis=1), want_over)
+        assert bool(flag) == want_flag == loud
+        assert want_over.any() == loud and not want_over.all()
+
+    def test_a_tap_of_four_is_rejected(self, bank):
+        samples = bank.samples_matrix.copy()
+        samples[3, 17] = -4.0
+        loud = dataclasses.replace(bank, samples_matrix=samples)
+        message = ("kernel 3 tap 17 is -4.0: the Q5.28 datapath needs every "
+                   "quantized tap below 4 in magnitude")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fx._tables_for(loud)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encoder.encode_stream(np.zeros(696 * 3), loud, EncoderConfig(sps=4, fixed=True))
+        # the float datapath takes the bank as it is
+        assert len(encoder.encode_stream(np.ones(696), loud, EncoderConfig(sps=2))) == 2
 
 
 class TestParityHarness:
