@@ -143,6 +143,8 @@ def _rank_correlation(x, y):
 
 
 def cmd_sweep(args):
+    if not (np.isfinite(args.amplitude) and args.amplitude > 0):
+        raise ValueError(f"--amplitude must be finite and above 0, got {args.amplitude}")
     bank = _load_bank(args)
     rate = bank.sample_rate
     duration = 5.0
@@ -169,10 +171,16 @@ def cmd_sweep(args):
 
 def cmd_bench(args):
     bank = _load_bank(args)
-    if args.seconds <= 0:
-        raise ValueError("no input: give --seconds > 0 for the corpus size")
+    length = args.seconds * bank.sample_rate
+    if not length <= audio_io.MAX_WAV_SAMPLES:  # NaN too
+        raise ValueError(f"--seconds must be finite and span at most the "
+                         f"{audio_io.MAX_WAV_SAMPLES} samples a 16-bit mono WAV can hold "
+                         f"at {bank.sample_rate:g} Hz, got {args.seconds}")
+    if length < 1:
+        raise ValueError(f"no input: --seconds must span at least one sample, "
+                         f"got {args.seconds}")
     rng = np.random.default_rng(0)
-    samples = 0.5 * rng.uniform(-1.0, 1.0, int(args.seconds * bank.sample_rate))
+    samples = 0.5 * rng.uniform(-1.0, 1.0, int(length))
     segments = -(-len(samples) // bank.segment_length)
     realtime = bank.sample_rate / bank.segment_length
     configs = [(path, encoder.EncoderConfig(sps=args.sps, threshold=0.0, path=path))

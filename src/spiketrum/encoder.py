@@ -50,14 +50,14 @@ Cauchy-Schwarz moves the cap by at most eta * ||x|| * ||k_m||, and the
 computed row by as much: far inside the cut, _ROUNDING_SLACK of the
 segment's norm. Each pair also carries a floor, a lower bound on its peak
 that only chooses the pairs a refresh starts with, those whose bound
-reaches their segment's largest floor: the first refresh seeds it with
-the row's root mean square, sqrt(sum_k w_k * |X_k|**2 * |K_m(k)|**2) /
-2048 by Parseval (its DC and Nyquist terms halved), and every code lowers
-it by the step. A wrong floor costs refreshes, never a code, since
-refreshing goes on until no stale bound can reach; so the floor needs no
-soundness, only a clamp to its own bound, which keeps the pair with the
-largest floor in the first set when rounding (or a clipped fixed-point
-screen, which the floor does not see) puts the floor above the bound.
+reaches their segment's largest floor: a refresh sets it to the peak it
+finds and every code lowers it by the step; a segment with no floor yet
+starts from the pair with its largest bound. A wrong floor costs
+refreshes, never a code, since refreshing goes on until no stale bound
+can reach; so the floor needs no soundness, only a clamp to its own
+bound, which keeps the pair with the largest floor in the first set when
+rounding, or the fixed-point screen's error, puts the floor above the
+bound.
 
 Codes and residuals are bit for bit those of a full recompute of each
 segment alone: each row is transformed and reduced on its own, so its
@@ -356,13 +356,10 @@ class _Float:
     @staticmethod
     def reduce(segments, kernels, r):
         """Per pair of a chunk: the peak |r|, its first lag and r there."""
-        pair = np.arange(len(r))
-        up, down = r.argmax(axis=1), r.argmin(axis=1)
-        high, low = r[pair, up], -r[pair, down]
-        # |r| peaks first at the earlier of the two extremes that reach it
-        use_down = (low > high) | ((low == high) & (down < up))
-        peak = np.maximum(high, low)
-        return peak, peak, np.where(use_down, down, up), np.where(use_down, -low, high)
+        lag = np.abs(r).argmax(axis=1)
+        value = r[np.arange(len(r)), lag]
+        peak = np.abs(value)
+        return peak, peak, lag, value
 
     def subtract(self, window, m, s):
         """Take s times kernel m from each row of window; the rows' bound steps."""
@@ -387,8 +384,7 @@ class _RowBounds:
         self.lag = np.zeros(shape, dtype=np.intp)  # first lag at the top
         self.value = np.empty(shape)         # r (or the exact value) at that lag
         self.bound = np.full(shape, np.inf)  # >= the peak if refreshed now
-        self.floor = np.zeros(shape)         # <= that peak, up to the cut
-        self.seeded = False                  # whether a refresh has seeded the floors
+        self.floor = np.full(shape, -np.inf)  # <= that peak, up to the cut
         self.spectra = np.empty((_CHUNK, FFT_SIZE // 2 + 1), dtype=complex)
         self.prod = np.empty_like(self.spectra)
         self.rows = np.empty((_CHUNK, FFT_SIZE))
@@ -401,25 +397,22 @@ class _RowBounds:
         spectra, prod, out) writes the rows of a chunk of pairs into out;
         path.reduce(segments, kernels, rows) returns the chunk's peak, top, lag
         and value per pair. Every bound is first capped by the spectrum's own
-        bound, |spectra| @ table.T; the first refresh seeds each floor with the
-        row's root mean square. The refresh starts with the pairs that reach
-        their segment's largest floor, a lower bound on its best peak; the clamp
-        of each floor to its bound keeps the pair with the largest floor among
-        them.
+        bound, |spectra| @ table.T. The refresh starts with the pairs that reach
+        their segment's largest floor, a lower bound on its best peak (a peak
+        refreshed before, lowered by the steps since), or its largest bound
+        where no floor is set yet; the clamp of each floor to its bound keeps
+        the pair with the largest floor among them. Refreshed peaks become the
+        floors.
         """
-        magnitude = np.abs(spectra)
-        np.minimum(self.bound, magnitude @ self.table.T, out=self.bound)
-        if not self.seeded:
-            # table**2 / 2 is w_k |K_n(k)|**2 / 2048**2 up to the slack, halved
-            # at DC and Nyquist: the root is at most row n's rms, so its peak
-            self.floor = np.sqrt(np.square(magnitude) @ np.square(self.table).T / 2.0)
-            self.seeded = True
+        np.minimum(self.bound, np.abs(spectra) @ self.table.T, out=self.bound)
         np.minimum(self.floor, self.bound, out=self.floor)
         peak, top = self.peak, self.top
         peak.fill(-1.0)
         top.fill(-1.0)
         stale = self.bound + cut[:, None]
-        todo = self.bound >= self.floor.max(axis=1)[:, None]
+        start = self.floor.max(axis=1)
+        start = np.where(np.isfinite(start), start, self.bound.max(axis=1))
+        todo = self.bound >= start[:, None]
         while todo.any():
             seg, row = np.nonzero(todo)
             for lo in range(0, len(seg), _CHUNK):

@@ -68,9 +68,8 @@ moves the cap by at most about 8e-15 * ||raw||_2 * ||k_q||_2, far below
 delta. A pair whose cap plus the cut 1 + 2 * delta stays below its
 segment's best peak screen P therefore holds no exact value above
 cap + 0.5 + delta < P - 0.5 - delta, where the best row's exact maximum
-lies, and cannot win. The cap does not see the screen's clip, so the
-root-mean-square floor can exceed a clipped peak; floors need no
-soundness, and their clamp to the bounds keeps every refresh from
+lies, and cannot win. Floors (refreshed peaks lowered by the steps) need
+no soundness, and their clamp to the bounds keeps every refresh from
 starting empty. Codes and residual are bit-identical to an exact full
 recompute of each segment alone.
 """
@@ -265,21 +264,21 @@ def _correlate_raw_fft(spectrum, tables, rows, prod, out):
     return correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
 
 
-def _exact_peak(screen, cut, delta, exact_row):
+def _exact_peak(screen, delta, exact_row):
     """Per row of screen: its peak |screen| clipped to the format, and the
     lag and exact value of its largest exact |value|, the first such lag on
     ties.
 
     screen is unclipped; the result is that of the clipped screen (module
-    docstring). cut (at least 1) and delta are per row. The candidates,
-    lags whose |screen| is within cut of the row's peak, hold every lag at
-    the row's exact maximum. Their clipped screens round to the exact
-    integers, unless one lies within delta of a half-integer: then the
-    row's candidates take exact_row(j, lags).
+    docstring). delta is the screen's error bound per row. The candidates,
+    lags whose |screen| is within the cut 1 + 2 * delta of the row's peak,
+    hold every lag at the row's exact maximum. Their clipped screens round
+    to the exact integers, unless one lies within delta of a half-integer:
+    then the row's candidates take exact_row(j, lags).
     """
     peak = np.maximum(np.minimum(screen.max(axis=1), RAW_MAX),
                       -np.maximum(screen.min(axis=1), RAW_MIN))
-    flat = np.flatnonzero(np.abs(screen) >= (peak - cut)[:, None])
+    flat = np.flatnonzero(np.abs(screen) >= (peak - (1.0 + 2.0 * delta))[:, None])
     row, lag = np.divmod(flat, screen.shape[1])
     values = np.clip(screen.ravel()[flat], RAW_MIN, RAW_MAX)
     exact = np.rint(values)
@@ -347,7 +346,7 @@ class _Fixed:
 
     def reduce(self, segments, kernels, screen):
         peak, lag, value = _exact_peak(
-            screen, 1.0 + 2.0 * self.delta[segments], self.delta[segments],
+            screen, self.delta[segments],
             lambda j, lags: _correlate_raw_gemm(
                 self.raw[segments[j]].astype(np.int64), self.tables, slice(kernels[j], kernels[j] + 1), lags)[0])
         return peak, np.abs(value), lag, value

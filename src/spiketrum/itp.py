@@ -45,6 +45,13 @@ class ChannelMap:
     levels = DEFAULT_LEVELS
     channels_per_kernel = len(DEFAULT_LEVELS)
 
+    def __post_init__(self):
+        # channel ids must fit the spike record's u2 field
+        most = (np.iinfo(SPIKE_DTYPE["channel"]).max + 1) // self.channels_per_kernel
+        if not 1 <= self.kernel_count <= most:
+            raise ValueError(f"kernel_count {self.kernel_count} outside [1, {most}]: "
+                             f"spike channels are 16-bit")
+
     @property
     def total_channels(self):
         return self.kernel_count * self.channels_per_kernel

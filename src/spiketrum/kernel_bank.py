@@ -156,8 +156,8 @@ class KernelBank:
     ``|X| @ spectrum_bound[n]`` bounds the peak over all lags of its
     circular correlation with kernel n. ``peak_bound[m, n]``, the same
     bound with kernel m as the window, bounds the peak of the circular
-    cross-correlation of kernels m and n. Both pursuit loops prune with
-    both. Treat as read-only after construction; encoders on any number of
+    cross-correlation of kernels m and n. The pursuit loop
+    (encoder._encode_block) prunes with both. Treat as read-only after construction; encoders on any number of
     threads may share one bank.
     """
 

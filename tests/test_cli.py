@@ -307,6 +307,12 @@ class TestSweep:
         assert lines[0] == "segment_time,winning_kernel"
         assert len(lines) == 116
 
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "0", "-0.5"])
+    def test_amplitude_must_be_finite_and_positive(self, amplitude, capsys):
+        assert cli.main(["sweep", "--amplitude", amplitude]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --amplitude must be finite and above 0, got ")
+
 
 class TestBench:
     def test_single_path(self, capsys):
@@ -330,6 +336,18 @@ class TestBench:
     def test_zero_seconds_is_no_input(self, capsys):
         assert cli.main(["bench", "--seconds", "0"]) == 1
         assert "no input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["-1", "1e-9"])
+    def test_less_than_one_sample_is_no_input(self, seconds, capsys):
+        assert cli.main(["bench", "--seconds", seconds]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: no input: --seconds must span at least one sample, got {float(seconds)}")
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "1e12"])
+    def test_seconds_must_be_finite_and_fit_a_wav(self, seconds, capsys):
+        # 1e12 s would be 1.6e16 samples, refused before anything is allocated
+        assert cli.main(["bench", "--seconds", seconds]) == 1
+        assert capsys.readouterr().err.startswith("error: --seconds must be finite and ")
 
 
 class TestStartup:

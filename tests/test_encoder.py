@@ -424,7 +424,6 @@ class TestPrunedRefresh:
         x = np.random.default_rng(36).uniform(-1, 1, (1, enc.FFT_SIZE))
         spectra = np.fft.rfft(x, axis=1)
         rows = enc._RowBounds(1, bank.spectrum_bound)
-        rows.seeded = True
         rows.floor[:] = 2.0 * np.abs(spectra) @ bank.spectrum_bound.T
         path = enc._Float(x, bank, enc.EncoderConfig())
         rows.refresh(spectra, path, np.full(1, 1e-9 * np.linalg.norm(x)))
@@ -432,6 +431,33 @@ class TestPrunedRefresh:
         want = enc.find_best_code(enc.correlate_all_fft(enc.SegmentBuffer(x[0]), bank))
         assert (int(m[0]), int(u[0]), float(s[0])) == (want.m, want.tau % enc.FFT_SIZE,
                                                        want.s)
+
+    def test_first_refresh_starts_from_each_largest_bound(self, bank):
+        # A fresh block has no floors yet: its first refresh starts with one
+        # pair per segment, the row of the segment's largest capped bound.
+        rng = np.random.default_rng(37)
+        t = np.arange(696) / 16000.0
+        x = enc.segment_stream(np.concatenate(
+            [rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
+             0.1 * np.sin(2 * np.pi * 3000 * t)]), 696)
+        spectra = np.fft.rfft(x, axis=1)
+        rows = enc._RowBounds(len(x), bank.spectrum_bound)
+        path = enc._Float(x, bank, enc.EncoderConfig())
+        chunks = []
+
+        def reduce(segments, kernels, r):
+            chunks.append((segments.tolist(), kernels.tolist()))
+            return enc._Float.reduce(segments, kernels, r)
+
+        path.reduce = reduce
+        rows.refresh(spectra, path, path.cut(x, rows.live))
+        cap = np.abs(spectra) @ bank.spectrum_bound.T
+        assert chunks[0] == ([0, 1, 2], cap.argmax(axis=1).tolist())
+        m, u, s = rows.pick()
+        for j, window in enumerate(x):
+            want = enc.find_best_code(enc.correlate_all_fft(enc.SegmentBuffer(window), bank))
+            assert (int(m[j]), int(u[j]), float(s[j])) == (want.m, want.tau % enc.FFT_SIZE,
+                                                           want.s)
 
     def test_refreshes_fewer_rows_than_full_recompute(self, bank, monkeypatch):
         rows = []

@@ -215,10 +215,9 @@ def exact_rows(exact):
 
 
 def exact_peaks(screen, delta, exact):
-    """_exact_peak over every row of screen, the cut and delta of the pursuit."""
+    """_exact_peak over every row of screen, at one delta for all of them."""
     rows = len(screen)
-    return fx._exact_peak(screen, np.full(rows, 1.0 + 2.0 * delta), np.full(rows, delta),
-                          exact_rows(exact))
+    return fx._exact_peak(screen, np.full(rows, delta), exact_rows(exact))
 
 
 def assert_exact_peaks(screen, delta, exact):
@@ -550,11 +549,12 @@ def record_candidates(monkeypatch):
     sizes = []
     original = fx._exact_peak
 
-    def recording(screen, cut, *args):
+    def recording(screen, delta, *args):
         mag = np.abs(screen)
         peak = mag.max(axis=1)
+        cut = 1.0 + 2.0 * delta
         sizes.extend(np.count_nonzero(mag >= (peak - cut)[:, None], axis=1).tolist())
-        return original(screen, cut, *args)
+        return original(screen, delta, *args)
 
     monkeypatch.setattr(fx, "_exact_peak", recording)
     return sizes
@@ -682,9 +682,8 @@ class TestPrunedRefreshFixed:
     @pytest.mark.parametrize("sps", [2, 8])
     def test_loud_tone_past_the_format(self, bank, sps):
         # A 28 tone at 440 Hz correlates far past Q5.28's range of [-32, 32):
-        # the screens clip, while the caps and the root-mean-square floors,
-        # read from the unclipped spectrum, do not, so floors sit above
-        # clipped peaks. The codes stay those of the exact recompute.
+        # the screens clip, while the caps, read from the unclipped spectrum,
+        # do not. The codes stay those of the exact recompute.
         t = np.arange(3200) / 16000.0
         samples = 28.0 * np.sin(2 * np.pi * 440.0 * t)
         config = EncoderConfig(sps=sps, fixed=True)

@@ -27,6 +27,13 @@ class TestChannelMap:
         with pytest.raises(TypeError):
             itp.ChannelMap(levels=(0.01, 1.0, 10.0))
 
+    @pytest.mark.parametrize("count", [0, -2, 21846, 30000])
+    def test_kernel_count_must_fit_the_channel_field(self, count):
+        # 21845 kernels fill the u2 channel field; one more would wrap
+        with pytest.raises(ValueError, match=rf"^kernel_count {count} outside \[1, 21845\]"):
+            itp.ChannelMap(kernel_count=count)
+        assert itp.ChannelMap(kernel_count=21845).total_channels == 65535
+
     def test_decode(self, channel_map):
         kernel, level = channel_map.decode(np.array([0, 22, 119], dtype=np.uint16))
         assert kernel.tolist() == [0, 7, 39]
