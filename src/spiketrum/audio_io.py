@@ -11,6 +11,8 @@ _SCALE = 32768.0
 
 # The RIFF size field (32 bits) counts 36 header bytes plus the data bytes.
 MAX_WAV_SAMPLES = (2 ** 32 - 1 - 36) // 2
+# The header holds the rate and the byte rate, 2 * rate, in 32 bits each.
+MAX_WAV_RATE = 2 ** 31 - 1
 
 
 def read_wav(path, expected_rate=None):
@@ -47,8 +49,12 @@ def write_wav(path, samples, rate):
     Uses the same 32768 scale as read_wav, so a round trip moves any
     sample by at most one quantization step. +-inf clamp to full scale;
     NaN has no PCM value, so it is a ValueError naming the first one's
-    index, raised before the file is opened.
+    index, raised before the file is opened. So is a rate that is not a
+    whole number in [1, MAX_WAV_RATE] Hz, which the header cannot hold.
     """
+    if not (float(rate).is_integer() and 1 <= rate <= MAX_WAV_RATE):
+        raise ValueError(f"sample rate {rate!r} Hz is not a whole number in "
+                         f"[1, {MAX_WAV_RATE}]")
     samples = np.asarray(samples, dtype=np.float64)
     nan = np.flatnonzero(np.isnan(samples))
     if nan.size:

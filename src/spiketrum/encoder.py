@@ -31,9 +31,10 @@ iteration takes one rfft of the block's live residuals, caps the bounds,
 gathers the pairs whose bound plus the datapath's cut reaches their
 segment's best refreshed peak, and inverse-transforms them _CHUNK at a
 time through a workspace allocated once per block. Each chunk is reduced
-on the spot to per-pair results (here the peak, its first lag and the
-value there), so no (40, 2048) row matrix is kept. A segment's winner is
-the smallest kernel index at its best peak, then that row's first lag.
+on the spot to each pair's first lag at its peak |r| and the value there
+(the peak is that value's magnitude), so no (40, 2048) row matrix is
+kept. A segment's winner is the smallest kernel index at its best
+peak, then that row's first lag.
 Each code's taps, two slices of its row before and after the circular
 wrap, are gathered into one (codes, taps) window for the datapath to
 subtract from; stopped segments leave the block.
@@ -56,8 +57,8 @@ starts from the pair with its largest bound. A wrong floor costs
 refreshes, never a code, since refreshing goes on until no stale bound
 can reach; so the floor needs no soundness, only a clamp to its own
 bound, which keeps the pair with the largest floor in the first set when
-rounding, or the fixed-point screen's error, puts the floor above the
-bound.
+rounding puts the floor above the bound (on the fixed datapath an exact
+peak may exceed its cap by up to the cut).
 
 Codes and residuals are bit for bit those of a full recompute of each
 segment alone: each row is transformed and reduced on its own, so its
@@ -355,11 +356,9 @@ class _Float:
 
     @staticmethod
     def reduce(segments, kernels, r):
-        """Per pair of a chunk: the peak |r|, its first lag and r there."""
+        """Per pair of a chunk: the first lag of the peak |r|, and r there."""
         lag = np.abs(r).argmax(axis=1)
-        value = r[np.arange(len(r)), lag]
-        peak = np.abs(value)
-        return peak, peak, lag, value
+        return lag, r[np.arange(len(r)), lag]
 
     def subtract(self, window, m, s):
         """Take s times kernel m from each row of window; the rows' bound steps."""
@@ -379,11 +378,10 @@ class _RowBounds:
         shape = (segments, len(table))
         self.table = table
         self.live = np.arange(segments)      # block position of each live segment
-        self.peak = np.empty(shape)          # max |r| if refreshed this iteration, else -1
-        self.top = np.empty(shape)           # the key the winner maximizes, else -1
-        self.lag = np.zeros(shape, dtype=np.intp)  # first lag at the top
+        self.peak = np.empty(shape)          # |value| if refreshed this iteration, else -1
+        self.lag = np.zeros(shape, dtype=np.intp)  # first lag at the peak
         self.value = np.empty(shape)         # r (or the exact value) at that lag
-        self.bound = np.full(shape, np.inf)  # >= the peak if refreshed now
+        self.bound = np.full(shape, np.inf)  # + the cut >= the peak if refreshed now
         self.floor = np.full(shape, -np.inf)  # <= that peak, up to the cut
         self.spectra = np.empty((_CHUNK, FFT_SIZE // 2 + 1), dtype=complex)
         self.prod = np.empty_like(self.spectra)
@@ -395,20 +393,18 @@ class _RowBounds:
 
         spectra holds one spectrum per live segment. path.correlate(kernels,
         spectra, prod, out) writes the rows of a chunk of pairs into out;
-        path.reduce(segments, kernels, rows) returns the chunk's peak, top, lag
-        and value per pair. Every bound is first capped by the spectrum's own
-        bound, |spectra| @ table.T. The refresh starts with the pairs that reach
-        their segment's largest floor, a lower bound on its best peak (a peak
-        refreshed before, lowered by the steps since), or its largest bound
-        where no floor is set yet; the clamp of each floor to its bound keeps
-        the pair with the largest floor among them. Refreshed peaks become the
-        floors.
+        path.reduce(segments, kernels, rows) returns the chunk's lag and value
+        per pair, and |value| is the pair's peak. Every bound is first capped
+        by the spectrum's own bound, |spectra| @ table.T. The refresh starts
+        with the pairs that reach their segment's largest floor, a lower bound
+        on its best peak (a peak refreshed before, lowered by the steps since),
+        or its largest bound where no floor is set yet; the clamp of each floor
+        to its bound keeps the pair with the largest floor among them.
+        Refreshed peaks become the bounds and the floors.
         """
         np.minimum(self.bound, np.abs(spectra) @ self.table.T, out=self.bound)
         np.minimum(self.floor, self.bound, out=self.floor)
-        peak, top = self.peak, self.top
-        peak.fill(-1.0)
-        top.fill(-1.0)
+        self.peak.fill(-1.0)
         stale = self.bound + cut[:, None]
         start = self.floor.max(axis=1)
         start = np.where(np.isfinite(start), start, self.bound.max(axis=1))
@@ -420,15 +416,14 @@ class _RowBounds:
                 k = len(s)
                 np.take(spectra, s, axis=0, out=self.spectra[:k], mode="clip")
                 r = path.correlate(n, self.spectra[:k], self.prod[:k], self.rows[:k])
-                peak[s, n], top[s, n], self.lag[s, n], self.value[s, n] = \
-                    path.reduce(s, n, r)
-            self.bound[todo] = self.floor[todo] = peak[todo]
+                self.lag[s, n], self.value[s, n] = path.reduce(s, n, r)
+            self.bound[todo] = self.floor[todo] = self.peak[todo] = np.abs(self.value[todo])
             stale[todo] = -np.inf
-            todo = stale >= peak.max(axis=1)[:, None]
+            todo = stale >= self.peak.max(axis=1)[:, None]
 
     def pick(self):
-        """Per live segment: the smallest row at the largest top, its lag and value."""
-        m = self.top.argmax(axis=1)
+        """Per live segment: the smallest row at the largest peak, its lag and value."""
+        m = self.peak.argmax(axis=1)
         pair = np.arange(len(m))
         return m, self.lag[pair, m], self.value[pair, m]
 
@@ -441,7 +436,7 @@ class _RowBounds:
     def retire(self, done):
         """Drop the done segments."""
         keep = ~done
-        for name in ("live", "peak", "top", "lag", "value", "bound", "floor"):
+        for name in ("live", "peak", "lag", "value", "bound", "floor"):
             setattr(self, name, getattr(self, name)[keep])
 
 

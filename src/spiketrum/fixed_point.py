@@ -28,8 +28,8 @@ Accuracy and Stability of Numerical Algorithms (2nd ed., SIAM 2002), ch.
 sqrt(2)) * 2**-53 = 8e-15; through three transforms, a product and the
 norm inequalities that gives a worst case just under 1e-12, the value
 _SCREEN_ERROR takes (measured: at most 6e-17, amplitudes 1e-4 to 31.9).
-For unit-norm kernels delta_max, the delta of 2048 samples at the
-format's limit, is below 0.4.
+For unit-norm kernels delta stays below 0.4, even for 2048 samples at
+the format's limit.
 
 Rounding moves a value by at most half a unit and clipping never widens a
 difference, so every exact integer lies within 0.5 + delta of its screen
@@ -39,39 +39,44 @@ and every other lag rounds below it. Such a candidate's clipped screen
 rounds to its exact integer unless it lies within delta of a
 half-integer; then the row's candidates are computed exactly
 (_correlate_raw_gemm, also the tests' oracle). Each chunk of the lockstep
-refresh is reduced this way to every pair's exact peak, its first lag and
-value (_exact_peak). The winner is the smallest row at the largest exact
-|value|, then its first lag.
+refresh is reduced this way to every pair's first lag at its largest
+exact |value|, and that value (_exact_peak); the clipped peak only
+chooses the candidates. The winner is the smallest row at the largest
+exact |value|, then its first lag.
 
 The screen itself is never clipped. The clip is monotone, so a row's
 clipped peak is max(min(max S, RAW_MAX), -max(min S, RAW_MIN)); and as
-the cut is at least 1, the peak less the cut is at most RAW_MAX, so a
-clipped |screen| reaches it exactly where the unclipped |screen| does.
-The unclipped screen thus gives the same candidates, in the same order,
-and only their values are clipped.
+the candidates' cut is at least 1, the peak less the cut is at most
+RAW_MAX, so a clipped |screen| reaches it exactly where the unclipped
+|screen| does. The unclipped screen thus gives the same candidates, in
+the same order, and only their values are clipped.
 
-The datapath's cut is 1 + 2 * delta per segment. After a code
+The loop's peaks, floors and bounds are exact |values|, and its cut is
+0.5 + delta per segment: a pair's bound plus the cut is at least every
+exact |value| the pair would give if refreshed now. After a code
 (m, tau, s_raw) row n's bound rises by
-|s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1 + 2 * delta_max: B_q bounds
-the quantized kernels' cross-correlation peaks, the L1 term the q_mul
-product's rounding, the rest the screen's error before and after and the
-exact values' rounding. Clipping only shrinks differences; a subtraction
-whose product or residual clips is no longer s times a kernel, so its
-step is +inf (a product clips where its saturated value differs from the
-rounded one), which leaves the pair only the cap.
+|s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1: B_q bounds the quantized
+kernels' cross-correlation peaks, the L1 term the q_mul product's
+rounding, and the 1 the exact values' rounding before and after, so a
+step from a refreshed peak needs no cut. A row whose exact value clipped
+has a bound of at least RAW_MAX, and no exact |value| exceeds RAW_MAX + 1.
+Clipping only shrinks differences; a subtraction whose product or
+residual clips is no longer s times a kernel, so its step is +inf (a
+product clips where its saturated value differs from the rounded one),
+which leaves the pair only the cap.
 
 The cap is |rfft(raw)| @ the quantized bank's spectrum_bound (encoder
 module docstring): in exact arithmetic it bounds the real correlation of
-raw with k_q at every lag, so every exact integer, that correlation
-rounded once and clipped, lies within 0.5 of it. The rfft's rounding
-moves the cap by at most about 8e-15 * ||raw||_2 * ||k_q||_2, far below
-delta. A pair whose cap plus the cut 1 + 2 * delta stays below its
-segment's best peak screen P therefore holds no exact value above
-cap + 0.5 + delta < P - 0.5 - delta, where the best row's exact maximum
-lies, and cannot win. Floors (refreshed peaks lowered by the steps) need
-no soundness, and their clamp to the bounds keeps every refresh from
-starting empty. Codes and residual are bit-identical to an exact full
-recompute of each segment alone.
+raw with k_q at every lag, whose exact values, rounded once and clipped,
+lie within 0.5 of it. The rfft's rounding moves the cap by at most about
+8e-15 * ||raw||_2 * ||k_q||_2, within delta, so the cut covers a cap;
+after a step from one, its half unit covers that error (below 0.4), as
+it covers the float64 rounding of the summed steps. A pair whose bound
+plus the cut stays below its segment's best exact peak therefore cannot
+win. Floors (refreshed peaks lowered by the steps) need no soundness,
+and their clamp to the bounds keeps every refresh from starting empty.
+Codes and residual are bit-identical to an exact full recompute of each
+segment alone.
 """
 
 from __future__ import annotations
@@ -207,10 +212,7 @@ class _FixedTables:
         self.gemm_lo = np.ascontiguousarray((self.kernel_raw & _SPLIT_MASK).T,
                                             dtype=np.float64)
         self.kernel_norm = float(np.sqrt(np.max(np.diag(self.bank.peak_bound))))
-        largest = -RAW_MIN * np.sqrt(FFT_SIZE)  # ||raw||_2 at the format's limit
-        delta_max = _SCREEN_ERROR * largest * self.kernel_norm
-        kernel_l1 = np.abs(self.bank.samples_matrix).sum(axis=1)
-        self.step_floor = 0.5 * kernel_l1 + (1.0 + 2.0 * delta_max)
+        self.step_floor = 0.5 * np.abs(self.bank.samples_matrix).sum(axis=1) + 1.0
 
 
 _tables_lock = threading.Lock()
@@ -265,16 +267,15 @@ def _correlate_raw_fft(spectrum, tables, rows, prod, out):
 
 
 def _exact_peak(screen, delta, exact_row):
-    """Per row of screen: its peak |screen| clipped to the format, and the
-    lag and exact value of its largest exact |value|, the first such lag on
-    ties.
+    """Per row of screen: the lag and exact value of its largest exact
+    |value|, the first such lag on ties.
 
     screen is unclipped; the result is that of the clipped screen (module
     docstring). delta is the screen's error bound per row. The candidates,
-    lags whose |screen| is within the cut 1 + 2 * delta of the row's peak,
-    hold every lag at the row's exact maximum. Their clipped screens round
-    to the exact integers, unless one lies within delta of a half-integer:
-    then the row's candidates take exact_row(j, lags).
+    lags whose |screen| is within 1 + 2 * delta of the row's clipped peak
+    |screen|, hold every lag at the row's exact maximum. Their clipped
+    screens round to the exact integers, unless one lies within delta of a
+    half-integer: then the row's candidates take exact_row(j, lags).
     """
     peak = np.maximum(np.minimum(screen.max(axis=1), RAW_MAX),
                       -np.maximum(screen.min(axis=1), RAW_MIN))
@@ -291,7 +292,7 @@ def _exact_peak(screen, delta, exact_row):
     key = np.abs(exact) * FFT_SIZE + (FFT_SIZE - 1 - lag)
     best = np.maximum.reduceat(key, np.searchsorted(row, np.arange(len(screen))))
     win = np.flatnonzero(key == best[row])
-    return peak, lag[win], exact[win]
+    return lag[win], exact[win]
 
 
 def _peak_step(tables, m, s_raw):
@@ -299,7 +300,7 @@ def _peak_step(tables, m, s_raw):
 
     The terms are those of the module docstring: the scaled cross-
     correlation bound, half a unit of product rounding per kernel tap, and
-    the screen's error and the exact values' rounding.
+    the exact values' rounding before and after.
     """
     return abs(s_raw) * tables.bank.peak_bound[m] + tables.step_floor
 
@@ -335,21 +336,20 @@ class _Fixed:
         return to_float(raw)
 
     def cut(self, raw, live):
-        """1 + 2 * delta per segment; keeps raw and delta for the exact route."""
+        """0.5 + delta per segment; keeps raw and delta for the exact route."""
         self.raw = raw
         self.delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", raw, raw)) * \
             self.tables.kernel_norm
-        return 1.0 + 2.0 * self.delta
+        return 0.5 + self.delta
 
     def correlate(self, kernels, spectra, prod, out):
         return _correlate_raw_fft(spectra, self.tables, kernels, prod, out)
 
     def reduce(self, segments, kernels, screen):
-        peak, lag, value = _exact_peak(
+        return _exact_peak(
             screen, self.delta[segments],
             lambda j, lags: _correlate_raw_gemm(
                 self.raw[segments[j]].astype(np.int64), self.tables, slice(kernels[j], kernels[j] + 1), lags)[0])
-        return peak, np.abs(value), lag, value
 
     def subtract(self, window, m, s_raw):
         """Take q_mul(s_raw, kernel m) from each row of window, in place and

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio_io import MAX_WAV_RATE
+
 FFT_SIZE = 2048
 DEFAULT_SAMPLE_RATE = 16000.0
 DEFAULT_KERNEL_COUNT = 40
@@ -266,7 +268,8 @@ def load_bank(path):
     ------
     BankFormatError
         On wrong magic, unsupported version, a kernel count or length the
-        bank rejects, a sample rate that is not finite and positive, a
+        bank rejects, a sample rate that is not a whole number in
+        [1, audio_io.MAX_WAV_RATE] (the rates a 16-bit mono WAV holds), a
         frequency range outside 0 < fmin < fmax <= rate / 2, an order
         below 1, truncation, trailing bytes, or a kernel with a non-finite
         tap or a norm off 1 (the pursuit needs unit-norm kernels); the
@@ -290,7 +293,8 @@ def load_bank(path):
                               f"{exc}") from exc
     nyquist = rate / 2
     for at, name, value, ok, need in (
-            (16, "sample rate", rate, 0.0 < rate < np.inf, "finite and above 0"),
+            (16, "sample rate", rate, rate.is_integer() and 1 <= rate <= MAX_WAV_RATE,
+             f"a whole number in [1, {MAX_WAV_RATE}], as a WAV header holds"),
             (24, "fmin", fmin, 0.0 < fmin < nyquist, "0 < fmin < sample rate / 2"),
             (32, "fmax", fmax, fmin < fmax <= nyquist, "fmin < fmax <= sample rate / 2"),
             (40, "order", order, order >= 1, "at least 1")):

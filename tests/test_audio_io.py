@@ -88,6 +88,20 @@ class TestErrors:
             audio_io.write_wav(path, np.array([0.1, np.nan, 0.2, np.nan]), 16000)
         assert not path.exists()
 
+    @pytest.mark.parametrize("rate", [16000.5, 5e9, 2 ** 31, 0, -16000, np.nan, np.inf])
+    def test_rate_a_header_cannot_hold_is_an_error(self, tmp_path, rate):
+        # 16000.5 was written as 16000 Hz, 5e9 died in struct.pack
+        path = tmp_path / "rate.wav"
+        with pytest.raises(ValueError, match=r"^sample rate .* is not a whole number in "
+                                             r"\[1, 2147483647\]$"):
+            audio_io.write_wav(path, np.zeros(4), rate)
+        assert not path.exists()
+
+    def test_largest_rate_is_written(self, tmp_path):
+        path = tmp_path / "fast.wav"
+        audio_io.write_wav(path, np.zeros(4), 2 ** 31 - 1)
+        assert audio_io.read_wav(path)[1] == 2 ** 31 - 1
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "g.wav"
         path.write_bytes(b"not audio at all")

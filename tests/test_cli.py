@@ -234,6 +234,21 @@ class TestDecode:
         assert not out.exists()
         assert cli.main(["decode", str(spikes), "-o", str(out), "--bank", str(bank_file)]) == 0
 
+    def test_bank_at_a_rate_no_wav_holds_rejected(self, tmp_path, capsys):
+        # at 16000.5 Hz decode wrote a 16000 Hz WAV; at 5e9 Hz it died in struct.pack
+        spikes = tmp_path / "s.spka"
+        itp.write_aer_binary(spike_train([0], [0]), spikes, 16000.0)
+        for rate in (16000.5, 5e9):
+            bank_file, out = tmp_path / "odd.spkb", tmp_path / "r.wav"
+            kernel_bank.save_bank(dataclasses.replace(
+                kernel_bank.build_bank(), sample_rate=rate), bank_file)
+            assert cli.main(["decode", str(spikes), "-o", str(out),
+                             "--bank", str(bank_file)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: bad bank header at offset 16 (sample rate): {rate!r}, need a whole "
+                "number in [1, 2147483647]")
+            assert not out.exists()
+
     def test_rate_mismatch_rejected(self, tmp_path, capsys):
         spikes = tmp_path / "hi.spka"
         itp.write_aer_binary(spike_train([0], [0]), spikes, 22050.0)

@@ -15,7 +15,7 @@ import pytest
 from spiketrum import cli, encoder
 from spiketrum import fixed_point as fx
 from spiketrum.encoder import MAX_SHIFT, Code, EncoderConfig, SegmentBuffer
-from spiketrum.kernel_bank import FFT_SIZE
+from spiketrum.kernel_bank import FFT_SIZE, KernelBank
 
 
 # Q5.28: raw integers in [RAW_MIN, RAW_MAX] stand for raw / 2**FRAC
@@ -35,17 +35,17 @@ def model_mul(a, b):
     return model_round(int(a) * int(b))
 
 
-class TestQFormat:
-    def test_default_properties(self):
+class TestTheOneFormat:
+    def test_constants(self):
         assert (fx.FRAC_BITS, fx.SCALE) == (28, 2 ** 28)
         assert (fx.RAW_MIN, fx.RAW_MAX) == (RAW_MIN, RAW_MAX)
 
-    def test_width_must_total_34(self):
+    def test_config_takes_no_other_split(self):
         for split in ((5, 29), (4, 28), (-1, 34), (33, 0)):
             with pytest.raises(ValueError):
                 EncoderConfig(fixed=split)
 
-    def test_parse(self):
+    def test_cli_parses_only_q5_28(self):
         # --fixed is the one place a format is spelled out, and only Q5.28 parses
         parser = cli.build_parser()
         assert parser.parse_args(["encode", "in.wav", "-o", "x", "--fixed", "Q5.28"]).fixed
@@ -66,7 +66,7 @@ class TestToFixed:
         assert fx.to_fixed(2.5 * 2.0 ** -28) == 2
         assert fx.to_fixed(-1.5 * 2.0 ** -28) == -2
 
-    def test_saturation_sets_flag(self):
+    def test_saturates_at_the_format_limits(self):
         # the primitives saturate without reporting it: only the value shows
         assert fx.to_fixed(40.0) == 2 ** 33 - 1
         assert fx.to_fixed(-40.0) == -(2 ** 33)
@@ -113,7 +113,7 @@ class TestQAdd:
     def test_exact_in_range(self):
         assert fx.q_add(fx.to_fixed(0.25), fx.to_fixed(0.5)) == fx.to_fixed(0.75)
 
-    def test_saturates_and_flags(self):
+    def test_saturates(self):
         # saturation is reported by the value alone
         big = fx.to_fixed(31.0)
         assert fx.q_add(big, big) == 2 ** 33 - 1
@@ -146,7 +146,7 @@ class TestQMul:
         # and 1 * 2**27 between 0 and 1; the even side is 0
         assert fx.q_mul(1, 2 ** 27) == 0
 
-    def test_saturates_and_flags(self):
+    def test_saturates(self):
         # saturation is reported by the value alone
         big = fx.to_fixed(30.0)
         assert fx.q_mul(big, big) == 2 ** 33 - 1
@@ -221,10 +221,10 @@ def exact_peaks(screen, delta, exact):
 
 
 def assert_exact_peaks(screen, delta, exact):
-    """Every row's exact peak, first lag and value are those of the exact table,
-    and the smallest row at the largest one is the exact table's winner."""
-    peak, lag, value = exact_peaks(screen, delta, exact)
-    np.testing.assert_array_equal(peak, np.max(np.abs(screen), axis=1))
+    """Every row's first lag at its largest exact |value|, and that value, are
+    the exact table's, and the smallest row at the largest one is the exact
+    table's winner."""
+    lag, value = exact_peaks(screen, delta, exact)
     first = np.argmax(np.abs(exact), axis=1)
     np.testing.assert_array_equal(lag, first)
     np.testing.assert_array_equal(value, exact[np.arange(len(exact)), first])
@@ -318,12 +318,12 @@ class TestScreen:
         screen = exact.copy()
         screen[1, [700, 50, 900]] = [999.8, -999.6, 999.4]
         screen[2, 10] = 1000.3
-        _, lag, value = exact_peaks(screen, 0.0, exact)
+        lag, value = exact_peaks(screen, 0.0, exact)
         assert (lag[1], value[1]) == (50, -1000) and (lag[2], value[2]) == (10, 1000)
         assert int(np.argmax(np.abs(value))) == 1
         assert_exact_peaks(screen, 0.0, exact)
         # a chunk without row 1: row 2 holds the largest value
-        _, lag, value = exact_peaks(screen[[0, 2, 3]], 0.0, exact[[0, 2, 3]])
+        lag, value = exact_peaks(screen[[0, 2, 3]], 0.0, exact[[0, 2, 3]])
         assert int(np.argmax(np.abs(value))) == 1 and (lag[1], value[1]) == (10, 1000)
 
     @staticmethod
@@ -335,7 +335,6 @@ class TestScreen:
         clipped_result = exact_peaks(clipped, delta, exact)
         for a, b in zip(unclipped_result, clipped_result):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(unclipped_result[0], np.max(np.abs(clipped), axis=1))
         return unclipped_result
 
     def test_screens_past_both_format_limits(self):
@@ -348,9 +347,7 @@ class TestScreen:
         screen[4] = rng.uniform(-1e11, RAW_MIN - 1.0, FFT_SIZE)      # wholly below
         screen[5, [11, 12]] = [RAW_MIN, RAW_MAX - 0.4]               # peak exactly RAW_MIN
         screen[6] = 0.0
-        peak, lag, value = self.assert_unclipped_equals_clipped(screen, 0.3)
-        np.testing.assert_array_equal(peak[:7], [2.0 ** 33 - 1, 2.0 ** 33, 2.0 ** 33,
-                                                 2.0 ** 33 - 1, 2.0 ** 33, 2.0 ** 33, 0.0])
+        lag, value = self.assert_unclipped_equals_clipped(screen, 0.3)
         assert list(zip(lag[:6].tolist(), value[:6].tolist())) == [
             (5, RAW_MAX), (7, RAW_MIN), (9, RAW_MIN), (0, RAW_MAX), (0, RAW_MIN),
             (11, RAW_MIN)]
@@ -727,6 +724,22 @@ class TestPrunedRefreshFixed:
                 row = fx._correlate_raw_gemm(after_raw, tables, slice(n, n + 1))
                 assert np.max(np.abs(row[0] - before[n])) <= step[n], (m, n)
 
+    def test_the_step_covers_the_rounding_before_and_after(self):
+        # One kernel of one tap, 1.5 + 2**-28, over a sample of 1: s_raw = 1
+        # subtracts q_mul(1, tap) = 2, and the real correlation there moves
+        # from 1.5 + 2**-28 to -1.5 - 2**-28, within |s_raw| * B + 0.5 * ||k||_1.
+        # Its exact value moves from 2 to -2, one unit more: the step's unit
+        # covers the rounding before and after.
+        tap = 1.5 + 2.0 ** -28
+        tables = fx._tables_for(KernelBank(np.array([[tap]]), np.array([1000.0])))
+        raw = np.zeros(FFT_SIZE, dtype=np.int64)
+        raw[5] = 1
+        before = fx._correlate_raw_gemm(raw, tables)[0]
+        raw[5] -= fx.q_mul(1, tables.kernel_raw[0, 0])
+        after = fx._correlate_raw_gemm(raw, tables)[0]
+        assert (before[5], after[5]) == (2, -2)
+        assert np.max(np.abs(after - before)) <= fx._peak_step(tables, 0, 1)[0]
+
     def test_refreshes_fewer_than_half_the_rows(self, bank, monkeypatch):
         rows = []
         original = fx._correlate_raw_fft
@@ -740,6 +753,46 @@ class TestPrunedRefreshFixed:
         fx.encode_segment_fixed(SegmentBuffer.from_samples(samples), bank,
                                 EncoderConfig(sps=64, fixed=True))
         assert sum(rows) < 0.5 * 64 * bank.kernel_count
+
+
+class TestBoundsReachEveryPeak:
+    """After every refresh, each (segment, row) pair's bound plus its
+    segment's cut is at least the |value| the pair would be picked by if it
+    were refreshed now: its exact values on the Q5.28 datapath, its FFT row
+    on the float one."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["float", "q5_28"])
+    def test_after_every_refresh(self, bank, monkeypatch, fixed):
+        rng = np.random.default_rng(73)
+        t = np.arange(696) / 16000.0
+        # Noise, a tone, and a +-31.9 square wave whose correlations saturate.
+        # Noise of a few units of Q5.28 (1e-8 is 2.7 units) has exact values
+        # of a unit or two, where rounding lifts some pairs' exact peaks
+        # above their caps: the cut's half unit is what covers them.
+        windows = encoder.segment_stream(np.concatenate(
+            [rng.uniform(-1, 1, 696)] + [a * rng.uniform(-1, 1, 696) for a in (1e-8, 5e-9, 3e-9)]
+            + [0.3 * np.sin(2 * np.pi * 440 * t),
+               31.9 * np.sign(np.sin(2 * np.pi * 2806.1 * t + 1.98))]), 696)
+        refresh = encoder._RowBounds.refresh
+        stale = []
+
+        def checked(rows, spectra, path, cut):
+            refresh(rows, spectra, path, cut)
+            for j, spectrum in enumerate(spectra):
+                if fixed:
+                    now = fx._correlate_raw_gemm(path.raw[j].astype(np.int64), path.tables)
+                else:
+                    now = encoder.correlate_all_fft(None, path.bank, spectrum=spectrum)
+                peak = np.max(np.abs(now), axis=1)
+                assert np.all(rows.bound[j] + cut[j] >= peak), (j, rows.bound[j] - peak)
+                stale.append(np.count_nonzero(rows.peak[j] < 0))
+
+        monkeypatch.setattr(encoder._RowBounds, "refresh", checked)
+        flag = fx.SaturationFlag() if fixed else None
+        encoder._encode_block(windows, 0, bank, EncoderConfig(sps=16, fixed=fixed), flag)
+        # 16 refreshes of 6 segments, which left many pairs stale
+        assert len(stale) == 96 and sum(stale) > 24 * bank.kernel_count
+        assert flag is None or flag
 
 
 class TestBlockPursuitFixed:

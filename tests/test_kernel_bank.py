@@ -256,11 +256,14 @@ class TestBankFile:
     @pytest.mark.parametrize("fields, at", [
         ({"sample_rate": np.nan, "fmin": -5.0, "fmax": -7.0, "order": 0}, 16),
         ({"sample_rate": 0.0}, 16), ({"sample_rate": np.inf}, 16),
+        ({"sample_rate": 16000.5}, 16), ({"sample_rate": 5e9}, 16),
+        ({"sample_rate": 2.0 ** 31}, 16),
         ({"fmin": -5.0, "fmax": -7.0, "order": 0}, 24), ({"fmin": np.nan}, 24),
         ({"fmax": 20.0}, 32), ({"fmax": 8000.5}, 32), ({"fmax": np.nan}, 32),
-        ({"order": 0}, 40)], ids=["all_four", "rate_zero", "rate_inf", "fmin_negative",
-                                  "fmin_nan", "fmax_at_fmin", "fmax_past_nyquist",
-                                  "fmax_nan", "order_zero"])
+        ({"order": 0}, 40)], ids=["all_four", "rate_zero", "rate_inf", "rate_fractional",
+                                  "rate_past_a_wav", "rate_past_a_wav_by_one",
+                                  "fmin_negative", "fmin_nan", "fmax_at_fmin",
+                                  "fmax_past_nyquist", "fmax_nan", "order_zero"])
     def test_header_metadata_checked(self, bank, tmp_path, fields, at):
         # build_bank could not have made these; a sweep on one used to fail
         # with "cannot convert float NaN to integer"
@@ -268,6 +271,12 @@ class TestBankFile:
         kb.save_bank(dataclasses.replace(bank, **fields), path)
         with pytest.raises(kb.BankFormatError, match=f"^bad bank header at offset {at} "):
             kb.load_bank(path)
+
+    def test_largest_wav_rate_loads(self, bank, tmp_path):
+        # a 16-bit mono WAV holds the byte rate, 2 * rate, in 32 bits
+        path = tmp_path / "fast.spkb"
+        kb.save_bank(dataclasses.replace(bank, sample_rate=2.0 ** 31 - 1), path)
+        assert kb.load_bank(path).sample_rate == 2 ** 31 - 1
 
     def test_trailing_bytes_rejected(self, bank, tmp_path):
         path = tmp_path / "fat.spkb"
