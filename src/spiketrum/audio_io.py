@@ -50,12 +50,15 @@ def write_wav(path, samples, rate):
     sample by at most one quantization step. +-inf clamp to full scale;
     NaN has no PCM value, so it is a ValueError naming the first one's
     index, raised before the file is opened. So is a rate that is not a
-    whole number in [1, MAX_WAV_RATE] Hz, which the header cannot hold.
+    whole number in [1, MAX_WAV_RATE] Hz, which the header cannot hold,
+    and samples that are not one axis (mono), naming their shape.
     """
     if not (float(rate).is_integer() and 1 <= rate <= MAX_WAV_RATE):
         raise ValueError(f"sample rate {rate!r} Hz is not a whole number in "
                          f"[1, {MAX_WAV_RATE}]")
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError(f"mono samples need one axis, got shape {samples.shape}")
     nan = np.flatnonzero(np.isnan(samples))
     if nan.size:
         raise ValueError(f"NaN at index {nan[0]} cannot be written as PCM")

@@ -18,26 +18,27 @@ same quantity and stay interchangeable.
 One loop (_encode_block) pursues a block of segments in lockstep, so
 that one round of numpy calls serves every segment in the block, on
 either datapath: the float reference (_Float) or the 34-bit integer one
-(fixed_point._Fixed). A datapath holds only what differs: units,
-threshold and cut, the bank whose spectrum_bound caps the bounds, the
-chunk correlate and reduce, and the subtraction. The loop refreshes only
-the kernel rows that can still win (_RowBounds). Each (segment, row)
-pair carries an upper bound on its peak |r[m, :]|: its peak when last
-transformed, raised after every code by a step bounding how far that
-subtraction moves the row at any lag (here |s| * bank.peak_bound[n, m]
-for a code (n, tau, s); +inf leaves only the cap below), and capped
-every iteration by a bound read from the residual's spectrum. Each
-iteration takes one rfft of the block's live residuals, caps the bounds,
-gathers the pairs whose bound plus the datapath's cut reaches their
-segment's best refreshed peak, and inverse-transforms them _CHUNK at a
-time through a workspace allocated once per block. Each chunk is reduced
-on the spot to each pair's first lag at its peak |r| and the value there
-(the peak is that value's magnitude), so no (40, 2048) row matrix is
-kept. A segment's winner is the smallest kernel index at its best
-peak, then that row's first lag.
+(fixed_point._Fixed). A datapath holds only its arithmetic and its
+constants: units and real, threshold, cut and step_floor, the bank whose
+spectrum_bound and peak_bound scale the bounds, one chunk call (peaks)
+and the subtraction. The loop refreshes only the kernel rows that can
+still win, and _RowBounds forms every cap, cut and step. Each (segment,
+row) pair carries an upper bound on its peak |r[m, :]|: its peak when
+last transformed, raised after every code by a step bounding how far
+that subtraction moves the row at any lag (|s| * bank.peak_bound[n, m] +
+step_floor for a code (n, tau, s); +inf where it clipped leaves only the
+cap below), and capped every iteration by a bound read from the
+residual's spectrum. Each iteration takes one rfft of the block's live
+residuals, caps the bounds, gathers the pairs whose bound plus the
+datapath's cut reaches their segment's best refreshed peak, and
+inverse-transforms them _CHUNK at a time through a workspace allocated
+once per block. Each chunk is reduced on the spot to each pair's first
+lag at its peak |r| and the value there (the peak is that value's
+magnitude), so no (40, 2048) row matrix is kept. A segment's winner is
+the smallest kernel index at its best peak, then that row's first lag.
 Each code's taps, two slices of its row before and after the circular
 wrap, are gathered into one (codes, taps) window for the datapath to
-subtract from; stopped segments leave the block.
+subtract from in place; stopped segments leave the block.
 
 The cap. Row m is the inverse transform of X * conj(K_m), X the rfft of
 the residual and K_m the kernel's, so in exact arithmetic every
@@ -305,10 +306,10 @@ def _encode_block(windows, first, bank, config, flag=None):
         path = _Fixed(bank, config, flag)
     x = path.units(windows)  # the float path pursues windows in place
     length = bank.kernel_length
-    rows = _RowBounds(len(windows), path.bank.spectrum_bound)
+    rows = _RowBounds(len(windows), bank.kernel_count)
     codes = [[] for _ in windows]
     for iteration in range(config.sps):
-        rows.refresh(np.fft.rfft(x, axis=1), path, path.cut(x, rows.live))
+        rows.refresh(x, path)
         m, u, s = rows.pick()
         stop = np.abs(s) < path.threshold
         if stop.any():
@@ -327,11 +328,11 @@ def _encode_block(windows, first, bank, config, flag=None):
         for j, lag, head in slices:
             window[j, :head] = x[j, lag:lag + head]
             window[j, head:] = x[j, :length - head]
-        window, step = path.subtract(window, m, s)
+        clipped = path.subtract(window, m, s)
         for j, lag, head in slices:
             x[j, lag:lag + head] = window[j, :head]
             x[j, :length - head] = window[j, head:]
-        rows.raise_bounds(step)
+        rows.raise_bounds(m, s, clipped, path)
     windows[rows.live] = path.real(x)
     return codes
 
@@ -340,6 +341,7 @@ class _Float:
     """The float datapath of _encode_block: real units, the bank as given."""
 
     units = real = staticmethod(np.asarray)  # the residuals are the windows
+    step_floor = 0.0  # the steps are |s| * peak_bound >= 0: adding 0.0 keeps their bits
 
     def __init__(self, windows, bank, config):
         self.bank, self.threshold = bank, config.threshold
@@ -351,32 +353,28 @@ class _Float:
     def cut(self, x, live):
         return self.slack[live]
 
-    def correlate(self, kernels, spectra, prod, out):
-        return correlate_all_fft(None, self.bank, kernels, spectra, prod, out)
-
-    @staticmethod
-    def reduce(segments, kernels, r):
+    def peaks(self, segments, kernels, spectra, prod, out):
         """Per pair of a chunk: the first lag of the peak |r|, and r there."""
+        r = correlate_all_fft(None, self.bank, kernels, spectra, prod, out)
         lag = np.abs(r).argmax(axis=1)
         return lag, r[np.arange(len(r)), lag]
 
     def subtract(self, window, m, s):
-        """Take s times kernel m from each row of window; the rows' bound steps."""
+        """Take s times kernel m from each row of window, in place; nothing clips."""
         window -= s[:, None] * self.bank.samples_matrix[m]
-        return window, np.abs(s)[:, None] * self.bank.peak_bound[m]
+        return np.zeros(len(m), dtype=bool)
 
 
 class _RowBounds:
     """Peak bounds of every (segment, row) pair over a block's lockstep pursuit.
 
     Arrays are (live segments, rows); segments that stop are dropped from
-    them (retire). table is the bank's spectrum_bound, in the units of the
-    spectra refresh receives. The chunk workspace is allocated once per block.
+    them (retire). It forms every cap, cut and step from what a datapath
+    (path) supplies; the chunk workspace is allocated once per block.
     """
 
-    def __init__(self, segments, table):
-        shape = (segments, len(table))
-        self.table = table
+    def __init__(self, segments, kernels):
+        shape = (segments, kernels)
         self.live = np.arange(segments)      # block position of each live segment
         self.peak = np.empty(shape)          # |value| if refreshed this iteration, else -1
         self.lag = np.zeros(shape, dtype=np.intp)  # first lag at the peak
@@ -387,25 +385,26 @@ class _RowBounds:
         self.prod = np.empty_like(self.spectra)
         self.rows = np.empty((_CHUNK, FFT_SIZE))
 
-    def refresh(self, spectra, path, cut):
+    def refresh(self, x, path):
         """Refresh pairs until no stale pair's bound plus its segment's cut
         reaches that segment's best peak.
 
-        spectra holds one spectrum per live segment. path.correlate(kernels,
-        spectra, prod, out) writes the rows of a chunk of pairs into out;
-        path.reduce(segments, kernels, rows) returns the chunk's lag and value
-        per pair, and |value| is the pair's peak. Every bound is first capped
-        by the spectrum's own bound, |spectra| @ table.T. The refresh starts
-        with the pairs that reach their segment's largest floor, a lower bound
-        on its best peak (a peak refreshed before, lowered by the steps since),
-        or its largest bound where no floor is set yet; the clamp of each floor
+        x holds the live residuals in path's units. Every bound is first
+        capped by its residual's spectrum, |rfft(x)| @ path.bank.spectrum_bound.T,
+        and path.cut(x, live) gives each segment's cut. path.peaks(segments,
+        kernels, spectra, prod, out) returns a chunk's lag and value per
+        pair, and |value| is the pair's peak. The refresh starts with the
+        pairs that reach their segment's largest floor, a lower bound on its
+        best peak (a peak refreshed before, lowered by the steps since), or
+        its largest bound where no floor is set yet; the clamp of each floor
         to its bound keeps the pair with the largest floor among them.
         Refreshed peaks become the bounds and the floors.
         """
-        np.minimum(self.bound, np.abs(spectra) @ self.table.T, out=self.bound)
+        spectra = np.fft.rfft(x, axis=1)
+        np.minimum(self.bound, np.abs(spectra) @ path.bank.spectrum_bound.T, out=self.bound)
         np.minimum(self.floor, self.bound, out=self.floor)
         self.peak.fill(-1.0)
-        stale = self.bound + cut[:, None]
+        stale = self.bound + path.cut(x, self.live)[:, None]
         start = self.floor.max(axis=1)
         start = np.where(np.isfinite(start), start, self.bound.max(axis=1))
         todo = self.bound >= start[:, None]
@@ -415,8 +414,8 @@ class _RowBounds:
                 s, n = seg[lo:lo + _CHUNK], row[lo:lo + _CHUNK]
                 k = len(s)
                 np.take(spectra, s, axis=0, out=self.spectra[:k], mode="clip")
-                r = path.correlate(n, self.spectra[:k], self.prod[:k], self.rows[:k])
-                self.lag[s, n], self.value[s, n] = path.reduce(s, n, r)
+                self.lag[s, n], self.value[s, n] = path.peaks(
+                    s, n, self.spectra[:k], self.prod[:k], self.rows[:k])
             self.bound[todo] = self.floor[todo] = self.peak[todo] = np.abs(self.value[todo])
             stale[todo] = -np.inf
             todo = stale >= self.peak.max(axis=1)[:, None]
@@ -427,9 +426,13 @@ class _RowBounds:
         pair = np.arange(len(m))
         return m, self.lag[pair, m], self.value[pair, m]
 
-    def raise_bounds(self, step):
-        """Raise the bounds and lower the floors by step (segments, rows)
-        after the subtractions; +inf leaves a pair only the spectrum's cap."""
+    def raise_bounds(self, m, s, clipped, path):
+        """Raise the bounds and lower the floors after each live segment's code
+        (m, s) by |s| * path.bank.peak_bound[m] + path.step_floor; a clipped
+        subtraction is no longer s times a kernel, and +inf leaves its
+        segment's pairs only the spectrum's cap."""
+        step = np.abs(s)[:, None] * path.bank.peak_bound[m] + path.step_floor
+        step[clipped] = np.inf
         self.bound += step
         self.floor -= step
 

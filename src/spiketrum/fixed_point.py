@@ -55,7 +55,8 @@ The loop's peaks, floors and bounds are exact |values|, and its cut is
 0.5 + delta per segment: a pair's bound plus the cut is at least every
 exact |value| the pair would give if refreshed now. After a code
 (m, tau, s_raw) row n's bound rises by
-|s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1: B_q bounds the quantized
+|s_raw| * B_q[m, n] + 0.5 * ||k_q,n||_1 + 1, the last two terms _Fixed's
+step_floor (encoder._RowBounds.raise_bounds): B_q bounds the quantized
 kernels' cross-correlation peaks, the L1 term the q_mul product's
 rounding, and the 1 the exact values' rounding before and after, so a
 step from a refreshed peak needs no cut. A row whose exact value clipped
@@ -205,7 +206,7 @@ class _FixedTables:
     gemm_hi: np.ndarray = field(init=False)     # (L, kernels) float64, high halves
     gemm_lo: np.ndarray = field(init=False)     # (L, kernels) float64, low halves
     kernel_norm: float = field(init=False)      # largest L2 norm of the quantized kernels
-    step_floor: np.ndarray = field(init=False)  # (kernels,) _peak_step at s_raw = 0
+    step_floor: np.ndarray = field(init=False)  # (kernels,) 0.5 * L1 + 1: the step at s_raw = 0
 
     def __post_init__(self):
         self.gemm_hi = np.ascontiguousarray((self.kernel_raw >> _SPLIT).T, dtype=np.float64)
@@ -295,16 +296,6 @@ def _exact_peak(screen, delta, exact_row):
     return lag[win], exact[win]
 
 
-def _peak_step(tables, m, s_raw):
-    """Most that subtracting q_mul(s_raw, kernel m) moves each row's peak, in raw units.
-
-    The terms are those of the module docstring: the scaled cross-
-    correlation bound, half a unit of product rounding per kernel tap, and
-    the exact values' rounding before and after.
-    """
-    return abs(s_raw) * tables.bank.peak_bound[m] + tables.step_floor
-
-
 def encode_segment_fixed(buffer, bank, config, flag=None):
     """Matching pursuit on the integer datapath; mutates buffer to the residual.
 
@@ -326,6 +317,7 @@ class _Fixed:
     def __init__(self, bank, config, flag):
         self.tables = _tables_for(bank)
         self.bank = self.tables.bank
+        self.step_floor = self.tables.step_floor
         self.threshold = to_fixed(config.threshold)
         self.flag = flag
 
@@ -336,25 +328,24 @@ class _Fixed:
         return to_float(raw)
 
     def cut(self, raw, live):
-        """0.5 + delta per segment; keeps raw and delta for the exact route."""
+        """0.5 + delta per segment; keeps raw and delta for peaks."""
         self.raw = raw
         self.delta = _SCREEN_ERROR * np.sqrt(np.einsum("ij,ij->i", raw, raw)) * \
             self.tables.kernel_norm
         return 0.5 + self.delta
 
-    def correlate(self, kernels, spectra, prod, out):
-        return _correlate_raw_fft(spectra, self.tables, kernels, prod, out)
-
-    def reduce(self, segments, kernels, screen):
+    def peaks(self, segments, kernels, spectra, prod, out):
+        """Per pair of a chunk: the lag and exact value of its largest exact |value|."""
+        screen = _correlate_raw_fft(spectra, self.tables, kernels, prod, out)
         return _exact_peak(
             screen, self.delta[segments],
-            lambda j, lags: _correlate_raw_gemm(
-                self.raw[segments[j]].astype(np.int64), self.tables, slice(kernels[j], kernels[j] + 1), lags)[0])
+            lambda j, lags: _correlate_raw_gemm(self.raw[segments[j]].astype(np.int64),
+                                                self.tables, slice(kernels[j], kernels[j] + 1),
+                                                lags)[0])
 
     def subtract(self, window, m, s_raw):
         """Take q_mul(s_raw, kernel m) from each row of window, in place and
-        saturating; the rows' bound steps, +inf where a product or the
-        residual clips.
+        saturating; True for the rows whose product or residual clipped.
 
         Each product is one int64 multiply, exact as the taps lie below 4
         in magnitude (_tables_for), rounded to nearest even by adding
@@ -370,10 +361,8 @@ class _Fixed:
         if self.flag is not None and (over.any() or
                                       np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX))):
             self.flag.seen = True
-        # a clipped update is no longer s times a kernel: only the cap bounds a row
-        step = _peak_step(self.tables, m, s_raw[:, None])
-        step[over] = np.inf
-        return np.clip(window, RAW_MIN, RAW_MAX, out=window), step
+        np.clip(window, RAW_MIN, RAW_MAX, out=window)
+        return over
 
 
 @dataclass

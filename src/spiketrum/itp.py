@@ -24,6 +24,7 @@ DEFAULT_LEVELS = (0.0065, 0.4115, 25.8744)
 # One spike: absolute sample time and output channel, packed little-endian
 # exactly as each record of a .spka file.
 SPIKE_DTYPE = np.dtype([("time", "<u8"), ("channel", "<u2")])
+_TIME_MAX = int(np.iinfo(SPIKE_DTYPE["time"]).max)
 
 _AER_MAGIC = b"SPKA"
 _AER_VERSION = 1
@@ -91,17 +92,38 @@ def quantize_intensity(s, channel_map=ChannelMap()):
     return 1 if d1 <= d2 else 2
 
 
+def _spike_time(code, segment_len):
+    """A code's spike time as a Python int: its segment's start plus the clamped shift."""
+    return code.segment_index * int(segment_len) + min(max(code.tau, 0), segment_len - 1)
+
+
+def _time_error(index, code, segment_len):
+    return ValueError(f"code {index} (segment {code.segment_index}, tau {code.tau}) has "
+                      f"spike time {_spike_time(code, segment_len)}, outside the spike "
+                      f"record's time field [0, {_TIME_MAX}]")
+
+
 def codes_to_spikes(codes, channel_map, segment_len):
     """One spike per code, sorted by time then channel.
 
     The shift clamps to [0, segment_len) so the event never precedes its
     segment; the full signed shift survives only at the code level. The
     level is quantize_intensity's: argmin takes the first of equal
-    distances, so ties go to the lower level.
+    distances, so ties go to the lower level. A spike time past the
+    record's u8 field is a ValueError naming the first such code, raised
+    before any spike is built.
     """
-    table = np.array([(c.segment_index, c.tau, c.m, c.s) for c in codes],
-                     dtype=[("segment", "i8"), ("tau", "i8"), ("m", "i8"),
-                            ("s", "f8")])
+    codes = list(codes)
+    try:
+        table = np.array([(c.segment_index, c.tau, c.m, c.s) for c in codes],
+                         dtype=[("segment", "i8"), ("tau", "i8"), ("m", "i8"),
+                                ("s", "f8")])
+    except OverflowError:  # a field past int64: is it a segment no spike time holds?
+        late = [i for i, c in enumerate(codes)
+                if not 0 <= _spike_time(c, segment_len) <= _TIME_MAX]
+        if not late:
+            raise
+        raise _time_error(late[0], codes[late[0]], segment_len) from None
     bad = (table["m"] < 0) | (table["m"] >= channel_map.kernel_count)
     if bad.any():
         raise ValueError(f"kernel index {table['m'][bad][0]} outside "
@@ -113,8 +135,13 @@ def codes_to_spikes(codes, channel_map, segment_len):
     distance = np.abs(np.abs(table["s"])[:, None] - np.array(channel_map.levels))
     channel = (table["m"] * channel_map.channels_per_kernel
                + np.argmin(distance, axis=1))
-    time = (table["segment"] * segment_len
-            + np.clip(table["tau"], 0, segment_len - 1))
+    # u8 arithmetic, exact for every segment at or below its limit
+    shift = np.clip(table["tau"], 0, segment_len - 1).astype(np.uint64)
+    segment = table["segment"].astype(np.uint64)
+    late = np.flatnonzero(segment > (np.uint64(_TIME_MAX) - shift) // np.uint64(segment_len))
+    if late.size:
+        raise _time_error(late[0], codes[late[0]], segment_len)
+    time = segment * np.uint64(segment_len) + shift
     order = np.lexsort((channel, time))
     return np.rec.fromarrays([time[order], channel[order]], dtype=SPIKE_DTYPE)
 

@@ -1,5 +1,6 @@
 """WAV reading and writing."""
 
+import re
 import wave
 
 import numpy as np
@@ -86,6 +87,15 @@ class TestErrors:
         path = tmp_path / "nan.wav"
         with pytest.raises(ValueError, match="^NaN at index 1 cannot be written as PCM$"):
             audio_io.write_wav(path, np.array([0.1, np.nan, 0.2, np.nan]), 16000)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(2, 100), (), (100, 1)], ids=["2x100", "0d", "100x1"])
+    def test_samples_off_one_axis_are_an_error_naming_the_shape(self, tmp_path, shape):
+        # (2, 100) was written as 200 mono frames, a 0-d array as one frame
+        path = tmp_path / "shape.wav"
+        with pytest.raises(ValueError, match=re.escape(
+                f"mono samples need one axis, got shape {shape}")):
+            audio_io.write_wav(path, np.zeros(shape), 16000)
         assert not path.exists()
 
     @pytest.mark.parametrize("rate", [16000.5, 5e9, 2 ** 31, 0, -16000, np.nan, np.inf])

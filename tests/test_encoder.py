@@ -423,10 +423,10 @@ class TestPrunedRefresh:
         # they still start the refresh with the pair of the largest floor.
         x = np.random.default_rng(36).uniform(-1, 1, (1, enc.FFT_SIZE))
         spectra = np.fft.rfft(x, axis=1)
-        rows = enc._RowBounds(1, bank.spectrum_bound)
+        rows = enc._RowBounds(1, bank.kernel_count)
         rows.floor[:] = 2.0 * np.abs(spectra) @ bank.spectrum_bound.T
         path = enc._Float(x, bank, enc.EncoderConfig())
-        rows.refresh(spectra, path, np.full(1, 1e-9 * np.linalg.norm(x)))
+        rows.refresh(x, path)
         m, u, s = rows.pick()
         want = enc.find_best_code(enc.correlate_all_fft(enc.SegmentBuffer(x[0]), bank))
         assert (int(m[0]), int(u[0]), float(s[0])) == (want.m, want.tau % enc.FFT_SIZE,
@@ -441,16 +441,17 @@ class TestPrunedRefresh:
             [rng.uniform(-1, 1, 696), 0.3 * np.sin(2 * np.pi * 440 * t),
              0.1 * np.sin(2 * np.pi * 3000 * t)]), 696)
         spectra = np.fft.rfft(x, axis=1)
-        rows = enc._RowBounds(len(x), bank.spectrum_bound)
+        rows = enc._RowBounds(len(x), bank.kernel_count)
         path = enc._Float(x, bank, enc.EncoderConfig())
         chunks = []
+        peaks = path.peaks
 
-        def reduce(segments, kernels, r):
+        def recording(segments, kernels, *workspace):
             chunks.append((segments.tolist(), kernels.tolist()))
-            return enc._Float.reduce(segments, kernels, r)
+            return peaks(segments, kernels, *workspace)
 
-        path.reduce = reduce
-        rows.refresh(spectra, path, path.cut(x, rows.live))
+        path.peaks = recording
+        rows.refresh(x, path)
         cap = np.abs(spectra) @ bank.spectrum_bound.T
         assert chunks[0] == ([0, 1, 2], cap.argmax(axis=1).tolist())
         m, u, s = rows.pick()

@@ -541,6 +541,18 @@ def step_fixed(windows, first, bank, config):
     return codes, traces
 
 
+def raised_bounds(path, m, s_raw, clipped):
+    """How far _RowBounds.raise_bounds lifts every row's bound on path's
+    datapath after the codes (m, s_raw), one segment each, where clipped
+    says whose subtraction clipped: the bounds read before and after."""
+    m, s_raw = np.atleast_1d(m), np.atleast_1d(np.asarray(s_raw, dtype=np.float64))
+    rows = encoder._RowBounds(len(m), path.bank.kernel_count)
+    rows.bound[:] = 0.0
+    before = rows.bound.copy()
+    rows.raise_bounds(m, s_raw, np.atleast_1d(clipped), path)
+    return rows.bound - before
+
+
 def record_candidates(monkeypatch):
     """Record how many candidate lags each refreshed row takes, in refresh order."""
     sizes = []
@@ -696,6 +708,7 @@ class TestPrunedRefreshFixed:
         # a unit of s times kernel m moves row n by at most the step, both for
         # q_mul's own rounding and for the worst rounding of exact ties.
         tables = fx._tables_for(bank)
+        path = fx._Fixed(bank, EncoderConfig(fixed=True), None)
         rng = np.random.default_rng(65)
         raw = fx.to_fixed(np.pad(0.5 * rng.uniform(-1, 1, 696), (0, FFT_SIZE - 696)))
         before = fx._correlate_raw_gemm(raw, tables)
@@ -709,12 +722,12 @@ class TestPrunedRefreshFixed:
             after_raw = raw.copy()
             after_raw[idx] -= fx.q_mul(s_raw, tables.kernel_raw[m])
             change = np.abs(fx._correlate_raw_gemm(after_raw, tables) - before)
-            assert np.all(change.max(axis=1) <= fx._peak_step(tables, m, s_raw)), m
+            assert np.all(change.max(axis=1) <= raised_bounds(path, m, s_raw, False)[0]), m
 
             exact = tie_s_raw * tables.kernel_raw[m]
             low = exact >> FRAC
             tie = (exact & ((1 << FRAC) - 1)) != 0
-            step = fx._peak_step(tables, m, tie_s_raw)
+            step = raised_bounds(path, m, tie_s_raw, False)[0]
             for n in range(bank.kernel_count):
                 # round every tie so that it adds to row n's change at the shared lag
                 kernel_n = tables.kernel_raw[n]
@@ -731,14 +744,16 @@ class TestPrunedRefreshFixed:
         # Its exact value moves from 2 to -2, one unit more: the step's unit
         # covers the rounding before and after.
         tap = 1.5 + 2.0 ** -28
-        tables = fx._tables_for(KernelBank(np.array([[tap]]), np.array([1000.0])))
+        one_tap = KernelBank(np.array([[tap]]), np.array([1000.0]))
+        tables = fx._tables_for(one_tap)
         raw = np.zeros(FFT_SIZE, dtype=np.int64)
         raw[5] = 1
         before = fx._correlate_raw_gemm(raw, tables)[0]
         raw[5] -= fx.q_mul(1, tables.kernel_raw[0, 0])
         after = fx._correlate_raw_gemm(raw, tables)[0]
         assert (before[5], after[5]) == (2, -2)
-        assert np.max(np.abs(after - before)) <= fx._peak_step(tables, 0, 1)[0]
+        path = fx._Fixed(one_tap, EncoderConfig(fixed=True), None)
+        assert np.max(np.abs(after - before)) <= raised_bounds(path, 0, 1, False)[0, 0]
 
     def test_refreshes_fewer_than_half_the_rows(self, bank, monkeypatch):
         rows = []
@@ -776,11 +791,12 @@ class TestBoundsReachEveryPeak:
         refresh = encoder._RowBounds.refresh
         stale = []
 
-        def checked(rows, spectra, path, cut):
-            refresh(rows, spectra, path, cut)
-            for j, spectrum in enumerate(spectra):
+        def checked(rows, x, path):
+            refresh(rows, x, path)
+            cut = path.cut(x, rows.live)
+            for j, spectrum in enumerate(np.fft.rfft(x, axis=1)):
                 if fixed:
-                    now = fx._correlate_raw_gemm(path.raw[j].astype(np.int64), path.tables)
+                    now = fx._correlate_raw_gemm(x[j].astype(np.int64), path.tables)
                 else:
                     now = encoder.correlate_all_fft(None, path.bank, spectrum=spectrum)
                 peak = np.max(np.abs(now), axis=1)
@@ -889,15 +905,13 @@ class TestBlockPursuitFixed:
 
 
 def split_product_subtract(tables, window, m, s_raw):
-    """_Fixed.subtract by the bit-17 split product: window, step, over, flag."""
+    """_Fixed.subtract by the bit-17 split product: window, over, flag."""
     wide = fx._rounded_product(s_raw[:, None], tables.kernel_raw[m])
     product = np.clip(wide, RAW_MIN, RAW_MAX)
     update = window - product
     over = np.any((product != wide) | (update < RAW_MIN) | (update > RAW_MAX), axis=1)
     flag = bool(over.any() or np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX)))
-    step = fx._peak_step(tables, m, s_raw[:, None])
-    step[over] = np.inf
-    return np.clip(update, RAW_MIN, RAW_MAX), step, over, flag
+    return np.clip(update, RAW_MIN, RAW_MAX), over, flag
 
 
 class TestSubtract:
@@ -921,14 +935,19 @@ class TestSubtract:
         span = (RAW_MIN, RAW_MAX) if loud else (-(1 << 20), 1 << 20)
         window = rng.integers(*span, (len(s_raw), bank.kernel_length),
                               endpoint=True).astype(np.float64)
-        want_window, want_step, want_over, want_flag = split_product_subtract(
+        want_window, want_over, want_flag = split_product_subtract(
             tables, window, m, s_raw)
         flag = fx.SaturationFlag()
         path = fx._Fixed(odd, EncoderConfig(sps=1, fixed=True), flag)
-        got_window, got_step = path.subtract(window.copy(), m, s_raw)
+        got_window = window.copy()
+        got_over = path.subtract(got_window, m, s_raw)
         np.testing.assert_array_equal(got_window, want_window)
-        np.testing.assert_array_equal(got_step, want_step)
-        np.testing.assert_array_equal(np.isinf(got_step).all(axis=1), want_over)
+        np.testing.assert_array_equal(got_over, want_over)
+        # the rows of clipped codes step to +inf, the others by a finite step
+        got_bound = raised_bounds(path, m, s_raw, got_over)
+        np.testing.assert_array_equal(got_bound, raised_bounds(path, m, s_raw, want_over))
+        np.testing.assert_array_equal(np.isinf(got_bound).all(axis=1), want_over)
+        np.testing.assert_array_equal(np.isinf(got_bound).any(axis=1), want_over)
         assert bool(flag) == want_flag == loud
         assert want_over.any() == loud and not want_over.all()
 

@@ -187,6 +187,27 @@ class TestCodesToSpikes:
             itp.codes_to_spikes([Code(m=0, tau=0, s=1.0, segment_index=-1)],
                                 channel_map, 696)
 
+    @pytest.mark.parametrize("segment", [2 ** 62, 2 ** 63, 2 ** 70],
+                             ids=["2**62", "2**63", "2**70"])
+    def test_time_past_the_record_field_names_the_code(self, channel_map, segment):
+        # 2**62 wrapped to a spike at time 5, 2**63 raised OverflowError
+        codes = [Code(m=0, tau=0, s=1.0), Code(m=0, tau=5, s=1.0, segment_index=segment)]
+        message = (f"code 1 (segment {segment}, tau 5) has spike time {segment * 696 + 5}, "
+                   f"outside the spike record's time field [0, {2 ** 64 - 1}]")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            itp.codes_to_spikes(codes, channel_map, 696)
+
+    def test_last_time_the_record_holds(self, channel_map):
+        last = (2 ** 64 - 1) // 696  # its segment holds times up to 2**64 - 1, at shift 255
+        assert (2 ** 64 - 1) - last * 696 == 255
+        spikes = itp.codes_to_spikes([Code(m=0, tau=0, s=1.0, segment_index=last),
+                                      Code(m=1, tau=255, s=1.0, segment_index=last)],
+                                     channel_map, 696)
+        assert spikes.time.tolist() == [last * 696, 2 ** 64 - 1]
+        with pytest.raises(ValueError, match=r"^code 0 \(segment \d+, tau 256\)"):
+            itp.codes_to_spikes([Code(m=0, tau=256, s=1.0, segment_index=last)],
+                                channel_map, 696)
+
     @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_intensity(self, channel_map, s):
         with pytest.raises(ValueError, match="non-finite intensity"):
