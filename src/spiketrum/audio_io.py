@@ -18,9 +18,10 @@ MAX_WAV_RATE = 2 ** 31 - 1
 def read_wav(path, expected_rate=None):
     """Read a mono 16-bit PCM WAV as float64 samples in [-1, 1].
 
-    Returns (samples, sample_rate). Rejects stereo and non-16-bit files;
-    when expected_rate is given a differing file rate is an error naming
-    both rates, never a silent resample.
+    Returns (samples, sample_rate). Rejects stereo and non-16-bit files,
+    and a file holding fewer frames than its header declares, naming both
+    counts and any stray byte; when expected_rate is given a differing file
+    rate is an error naming both rates, never a silent resample.
     """
     try:
         with wave.open(os.fspath(path), "rb") as wav:
@@ -32,9 +33,15 @@ def read_wav(path, expected_rate=None):
                 raise ValueError(
                     f"16-bit PCM required, file has {8 * width}-bit samples")
             rate = wav.getframerate()
-            frames = wav.readframes(wav.getnframes())
+            declared = wav.getnframes()
+            frames = wav.readframes(declared)
     except wave.Error as exc:
         raise ValueError(f"not a readable WAV file: {exc}") from exc
+    present, stray = divmod(len(frames), 2)
+    if present != declared:
+        extra = f" and {stray} stray byte" if stray else ""
+        raise ValueError(f"truncated WAV file: the header declares {declared} frames, "
+                         f"the file holds {present}{extra}")
     if expected_rate is not None and rate != expected_rate:
         raise ValueError(
             f"file sample rate {rate} Hz does not match bank rate "

@@ -51,6 +51,26 @@ RAW_MAX, so a clipped |screen| reaches it exactly where the unclipped
 |screen| does. The unclipped screen thus gives the same candidates, in
 the same order, and only their values are clipped.
 
+Nearly every row has one candidate, and _exact_peak finds such rows
+without forming a candidate set. It takes each row's first lag at the
+largest |screen| (the top) and the largest |screen| at any other lag (the
+runner-up). Where the top is at most RAW_MAX the clip leaves the whole row
+as it is, so the top is the row's clipped peak; where the runner-up also
+lies below the top less 1 + 2 * delta, no other lag is a candidate. The
+top's lag then holds the row's exact maximum, and its value is rint of
+its screen, or the exact value at that one lag where the screen lies
+within delta of a half-integer: what the candidate logic gives a set of
+one. The other rows (a lag tied with or within the cut of the top, or a
+top past the format) take the candidate logic, _candidate_peaks.
+
+A subtraction clips only where a rounded product or a residual passes
+the format. Code (m, s_raw)'s products are at most |s_raw| * max |k_raw,m|
+in magnitude (_FixedTables.tap_max), so rounded at most that plus 2**27,
+shifted right by 28; a residual is at most its row's largest |window|
+plus that. Where the sum stays at or below RAW_MAX for every code, nothing
+clips (RAW_MIN lies further out), and _Fixed.subtract takes the rounded
+products away without its range tests and clips.
+
 The loop's peaks, floors and bounds are exact |values|, and its cut is
 0.5 + delta per segment: a pair's bound plus the cut is at least every
 exact |value| the pair would give if refreshed now. After a code
@@ -207,6 +227,7 @@ class _FixedTables:
     gemm_lo: np.ndarray = field(init=False)     # (L, kernels) float64, low halves
     kernel_norm: float = field(init=False)      # largest L2 norm of the quantized kernels
     step_floor: np.ndarray = field(init=False)  # (kernels,) 0.5 * L1 + 1: the step at s_raw = 0
+    tap_max: np.ndarray = field(init=False)     # (kernels,) int64, largest |kernel_raw|
 
     def __post_init__(self):
         self.gemm_hi = np.ascontiguousarray((self.kernel_raw >> _SPLIT).T, dtype=np.float64)
@@ -214,6 +235,7 @@ class _FixedTables:
                                             dtype=np.float64)
         self.kernel_norm = float(np.sqrt(np.max(np.diag(self.bank.peak_bound))))
         self.step_floor = 0.5 * np.abs(self.bank.samples_matrix).sum(axis=1) + 1.0
+        self.tap_max = np.abs(self.kernel_raw).max(axis=1)
 
 
 _tables_lock = threading.Lock()
@@ -267,17 +289,44 @@ def _correlate_raw_fft(spectrum, tables, rows, prod, out):
     return correlate_all_fft(None, tables.bank, rows, spectrum, prod, out)
 
 
-def _exact_peak(screen, delta, exact_row):
+def _exact_peak(screen, delta, exact_row, work=None):
     """Per row of screen: the lag and exact value of its largest exact
     |value|, the first such lag on ties.
 
-    screen is unclipped; the result is that of the clipped screen (module
-    docstring). delta is the screen's error bound per row. The candidates,
-    lags whose |screen| is within 1 + 2 * delta of the row's clipped peak
-    |screen|, hold every lag at the row's exact maximum. Their clipped
-    screens round to the exact integers, unless one lies within delta of a
-    half-integer: then the row's candidates take exact_row(j, lags).
+    screen is unclipped and left as it is; the result is that of the
+    clipped screen (module docstring). delta is the screen's error bound
+    per row. The candidates, lags whose |screen| is within 1 + 2 * delta of
+    the row's clipped peak |screen|, hold every lag at the row's exact
+    maximum. Their clipped screens round to the exact integers, unless one
+    lies within delta of a half-integer: then the row's candidates take
+    exact_row(j, lags). A row whose runner-up |screen| is below its top less
+    1 + 2 * delta, and whose top is within the format, has its argmax as its
+    one candidate; only the other rows go through _candidate_peaks. work, if
+    given, is a flat float64 array of at least screen.size entries, and
+    takes |screen| (contiguous: a strided workspace slows every pass).
     """
+    pair = np.arange(len(screen))
+    mag = np.abs(screen, out=None if work is None else work[:screen.size].reshape(screen.shape))
+    lag = mag.argmax(axis=1)
+    top = mag[pair, lag]
+    mag[pair, lag] = -1.0
+    slow = (np.maximum.reduce(mag, axis=1) >= top - (1.0 + 2.0 * delta)) | (top > RAW_MAX)
+    value = screen[pair, lag]
+    exact = np.rint(value)
+    odd = (slow | (np.abs(value - exact) >= 0.5 - delta)).nonzero()[0].tolist()
+    if odd:  # rare: rows with several candidates, or one near a half-integer
+        for j in odd:
+            if not slow[j]:
+                exact[j] = exact_row(j, lag[j:j + 1])[0]
+        rows = slow.nonzero()[0]
+        if len(rows):
+            lag[rows], exact[rows] = _candidate_peaks(
+                screen[rows], delta[rows], lambda i, lags: exact_row(int(rows[i]), lags))
+    return lag, exact
+
+
+def _candidate_peaks(screen, delta, exact_row):
+    """_exact_peak by every row's candidates, for rows that may have several."""
     peak = np.maximum(np.minimum(screen.max(axis=1), RAW_MAX),
                       -np.maximum(screen.min(axis=1), RAW_MIN))
     flat = np.flatnonzero(np.abs(screen) >= (peak - (1.0 + 2.0 * delta))[:, None])
@@ -341,7 +390,8 @@ class _Fixed:
             screen, self.delta[segments],
             lambda j, lags: _correlate_raw_gemm(self.raw[segments[j]].astype(np.int64),
                                                 self.tables, slice(kernels[j], kernels[j] + 1),
-                                                lags)[0])
+                                                lags)[0],
+            prod.view(np.float64).reshape(-1))  # prod is spent once the screen is made
 
     def subtract(self, window, m, s_raw):
         """Take q_mul(s_raw, kernel m) from each row of window, in place and
@@ -349,19 +399,36 @@ class _Fixed:
 
         Each product is one int64 multiply, exact as the taps lie below 4
         in magnitude (_tables_for), rounded to nearest even by adding
-        2**27 - 1 plus the kept part's lowest bit and shifting.
+        2**27 - 1 plus the kept part's lowest bit and shifting. Where no
+        code's largest rounded product (|s_raw| times its kernel's largest
+        |tap|) plus its row's largest |window| can pass RAW_MAX, nothing
+        clips and the products are taken away without the range tests and
+        clips (module docstring).
         """
+        s = s_raw.astype(np.int64)
         wide = self.tables.kernel_raw[m]  # a copy: the products are formed in place
-        wide *= s_raw.astype(np.int64)[:, None]
-        wide += ((wide >> FRAC_BITS) & 1) + ((1 << (FRAC_BITS - 1)) - 1)
+        wide *= s[:, None]
+        rounding = wide >> FRAC_BITS
+        rounding &= 1
+        rounding += (1 << (FRAC_BITS - 1)) - 1
+        wide += rounding
         wide >>= FRAC_BITS
-        over = (wide.max(axis=1) > RAW_MAX) | (wide.min(axis=1) < RAW_MIN)
-        window -= np.clip(wide, RAW_MIN, RAW_MAX, out=wide)
-        over |= (window.max(axis=1) > RAW_MAX) | (window.min(axis=1) < RAW_MIN)
+        # (|p| + 2**27) >> 28 bounds a product |p|'s rounded magnitude
+        reach = (np.abs(s) * self.tables.tap_max[m] + (1 << (FRAC_BITS - 1))) >> FRAC_BITS
+        # ufunc reductions: ndarray.max and .min add a Python layer per call
+        largest = np.maximum(np.maximum.reduce(window, axis=1),
+                             -np.minimum.reduce(window, axis=1))
+        if (reach + largest <= RAW_MAX).all():
+            window -= wide
+            over = np.zeros(len(m), dtype=bool)
+        else:
+            over = (wide.max(axis=1) > RAW_MAX) | (wide.min(axis=1) < RAW_MIN)
+            window -= np.clip(wide, RAW_MIN, RAW_MAX, out=wide)
+            over |= (window.max(axis=1) > RAW_MAX) | (window.min(axis=1) < RAW_MIN)
+            np.clip(window, RAW_MIN, RAW_MAX, out=window)
         if self.flag is not None and (over.any() or
                                       np.any((s_raw == RAW_MIN) | (s_raw == RAW_MAX))):
             self.flag.seen = True
-        np.clip(window, RAW_MIN, RAW_MAX, out=window)
         return over
 
 

@@ -25,6 +25,7 @@ DEFAULT_LEVELS = (0.0065, 0.4115, 25.8744)
 # exactly as each record of a .spka file.
 SPIKE_DTYPE = np.dtype([("time", "<u8"), ("channel", "<u2")])
 _TIME_MAX = int(np.iinfo(SPIKE_DTYPE["time"]).max)
+_INT64 = np.iinfo(np.int64)
 
 _AER_MAGIC = b"SPKA"
 _AER_VERSION = 1
@@ -97,6 +98,11 @@ def _spike_time(code, segment_len):
     return code.segment_index * int(segment_len) + min(max(code.tau, 0), segment_len - 1)
 
 
+def _held(value):
+    """A Python int held to int64's range."""
+    return min(max(value, _INT64.min), _INT64.max)
+
+
 def _time_error(index, code, segment_len):
     return ValueError(f"code {index} (segment {code.segment_index}, tau {code.tau}) has "
                       f"spike time {_spike_time(code, segment_len)}, outside the spike "
@@ -109,27 +115,28 @@ def codes_to_spikes(codes, channel_map, segment_len):
     The shift clamps to [0, segment_len) so the event never precedes its
     segment; the full signed shift survives only at the code level. The
     level is quantize_intensity's: argmin takes the first of equal
-    distances, so ties go to the lower level. A spike time past the
-    record's u8 field is a ValueError naming the first such code, raised
-    before any spike is built.
+    distances, so ties go to the lower level. A kernel index outside the
+    map, a negative segment, a non-finite intensity and a spike time past
+    the record's u8 field are ValueErrors raised before any spike is built,
+    the last naming the first such code; a field past int64 meets the same
+    checks.
     """
     codes = list(codes)
+    fields = [("segment", "i8"), ("tau", "i8"), ("m", "i8"), ("s", "f8")]
     try:
-        table = np.array([(c.segment_index, c.tau, c.m, c.s) for c in codes],
-                         dtype=[("segment", "i8"), ("tau", "i8"), ("m", "i8"),
-                                ("s", "f8")])
-    except OverflowError:  # a field past int64: is it a segment no spike time holds?
-        late = [i for i, c in enumerate(codes)
-                if not 0 <= _spike_time(c, segment_len) <= _TIME_MAX]
-        if not late:
-            raise
-        raise _time_error(late[0], codes[late[0]], segment_len) from None
-    bad = (table["m"] < 0) | (table["m"] >= channel_map.kernel_count)
-    if bad.any():
-        raise ValueError(f"kernel index {table['m'][bad][0]} outside "
+        table = np.array([(c.segment_index, c.tau, c.m, c.s) for c in codes], dtype=fields)
+    except OverflowError:
+        # a field past int64: its shift clamps as below, and a kernel index or
+        # segment held at the int64 limit fails its check as it would unheld
+        last = int(segment_len) - 1
+        table = np.array([(_held(c.segment_index), min(max(c.tau, 0), last), _held(c.m), c.s)
+                          for c in codes], dtype=fields)
+    bad = np.flatnonzero((table["m"] < 0) | (table["m"] >= channel_map.kernel_count))
+    if bad.size:
+        raise ValueError(f"kernel index {codes[bad[0]].m} outside "
                          f"[0, {channel_map.kernel_count})")
     if (table["segment"] < 0).any():
-        raise ValueError(f"negative segment index {table['segment'].min()}")
+        raise ValueError(f"negative segment index {min(c.segment_index for c in codes)}")
     if not np.isfinite(table["s"]).all():
         raise ValueError("non-finite intensity: no level is nearest to it")
     distance = np.abs(np.abs(table["s"])[:, None] - np.array(channel_map.levels))

@@ -112,6 +112,16 @@ class TestErrors:
         audio_io.write_wav(path, np.zeros(4), 2 ** 31 - 1)
         assert audio_io.read_wav(path)[1] == 2 ** 31 - 1
 
+    @pytest.mark.parametrize("cut, holds", [(1, "99 and 1 stray byte"), (2, "99")])
+    def test_truncated_file_names_the_frames(self, tmp_path, cut, holds):
+        # two bytes short read 99 samples; one byte short died in np.frombuffer
+        path = tmp_path / "cut.wav"
+        audio_io.write_wav(path, np.zeros(100), 16000)
+        path.write_bytes(path.read_bytes()[:-cut])
+        message = f"truncated WAV file: the header declares 100 frames, the file holds {holds}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            audio_io.read_wav(path)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "g.wav"
         path.write_bytes(b"not audio at all")

@@ -107,6 +107,17 @@ class TestEncode:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "44100" in err
 
+    @pytest.mark.parametrize("cut, holds", [(1, "99 and 1 stray byte"), (2, "99")])
+    def test_truncated_wav_rejected(self, tmp_path, capsys, cut, holds):
+        wav = tmp_path / "cut.wav"
+        audio_io.write_wav(wav, np.full(100, 0.3), 16000)
+        wav.write_bytes(wav.read_bytes()[:-cut])
+        out = tmp_path / "x.spka"
+        assert cli.main(["encode", str(wav), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: truncated WAV file: the header declares "
+                                           f"100 frames, the file holds {holds}\n")
+        assert not out.exists()
+
     def test_threshold_thins_spikes(self, noise_wav, tmp_path, capsys):
         out = tmp_path / "t.txt"
         rc = cli.main(["encode", noise_wav, "-o", str(out),

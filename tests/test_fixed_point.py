@@ -364,6 +364,117 @@ class TestScreen:
             self.assert_unclipped_equals_clipped(screen, 0.3)
 
 
+class TestOneCandidateShortcut:
+    """_exact_peak's one-candidate rows against every row's candidates
+    (_candidate_peaks), on crafted screens at delta 0.3 (cut 1.6)."""
+
+    DELTA = 0.3
+
+    @staticmethod
+    def counted(exact):
+        """An exact_row callback over a table of exact values, and its calls."""
+        calls = []
+
+        def exact_row(j, lags):
+            calls.append((j, np.asarray(lags).tolist()))
+            return exact[j, lags]
+        return exact_row, calls
+
+    def check(self, screen, exact, monkeypatch=None):
+        """_exact_peak with and without a workspace equals _candidate_peaks,
+        leaves screen as it was and asks for the same exact rows; returns
+        (lag, value, exact_row calls, rows given to _candidate_peaks)."""
+        delta = np.full(len(screen), self.DELTA)
+        before = screen.copy()
+        want_row, want_calls = self.counted(exact)
+        want = fx._candidate_peaks(screen, delta, want_row)
+        slow_rows = []
+        if monkeypatch is not None:
+            original = fx._candidate_peaks
+
+            def recording(part, *args):
+                slow_rows.append(len(part))
+                return original(part, *args)
+            monkeypatch.setattr(fx, "_candidate_peaks", recording)
+        results = []
+        # a workspace longer than the screen, as _Fixed.peaks passes
+        for work in (None, np.full((len(screen) + 3) * (FFT_SIZE + 2), np.nan)):
+            exact_row, calls = self.counted(exact)
+            lag, value = fx._exact_peak(screen, delta, exact_row, work)
+            np.testing.assert_array_equal(screen, before)
+            np.testing.assert_array_equal(lag, want[0])
+            np.testing.assert_array_equal(value, want[1])
+            assert sorted(calls) == sorted(want_calls)
+            results.append((lag, value, calls))
+        return (*results[0], slow_rows)
+
+    @staticmethod
+    def table(rows, entries):
+        """A (rows, 2048) array, zeros but for {(row, lag): value}."""
+        out = np.zeros((rows, FFT_SIZE))
+        for (row, lag), value in entries.items():
+            out[row, lag] = value
+        return out
+
+    def test_two_lags_tied_at_the_top(self):
+        screen = self.table(1, {(0, 9): 1000.1, (0, 5): -1000.1})
+        exact = self.table(1, {(0, 9): 1000.0, (0, 5): -1000.0})
+        lag, value, calls, _ = self.check(screen, exact)
+        assert (lag[0], value[0], calls) == (5, -1000.0, [])
+
+    def test_a_runner_up_within_the_cut_wins_an_exact_tie(self):
+        # the runner-up at lag 200 rounds to the top's exact value, and is earlier
+        screen = self.table(1, {(0, 300): 5000.3, (0, 200): 4999.6})
+        exact = self.table(1, {(0, 300): 5000.0, (0, 200): 5000.0})
+        lag, value, calls, _ = self.check(screen, exact)
+        assert (lag[0], value[0]) == (200, 5000.0) and calls == [(0, [200, 300])]
+
+    def test_a_runner_up_past_the_cut_is_no_candidate(self, monkeypatch):
+        screen = self.table(1, {(0, 300): 5000.0, (0, 200): 5000.0 - 1.61})
+        lag, value, calls, slow_rows = self.check(screen, np.rint(screen), monkeypatch)
+        assert (lag[0], value[0], calls, slow_rows) == (300, 5000.0, [], [])
+
+    def test_a_row_above_raw_max(self):
+        # both lags clip to RAW_MAX: the first wins, not the larger screen
+        screen = self.table(1, {(0, 900): 3e10, (0, 5): 2.0 ** 34})
+        lag, value, calls, _ = self.check(screen, np.clip(np.rint(screen), RAW_MIN, RAW_MAX))
+        assert (lag[0], value[0], calls) == (5, RAW_MAX, [])
+
+    def test_a_row_reaching_exactly_raw_min(self):
+        screen = self.table(2, {(0, 11): RAW_MIN, (1, 11): RAW_MIN, (1, 12): RAW_MAX - 0.4})
+        exact = np.rint(screen)
+        lag, value, calls, _ = self.check(screen, exact)
+        assert (lag.tolist(), value.tolist()) == ([11, 11], [RAW_MIN, RAW_MIN])
+        assert calls == [(1, [11, 12])]  # RAW_MAX - 0.4 lies within delta of RAW_MAX - 0.5
+
+    def test_a_lone_candidate_near_a_half_integer_is_computed_once(self, monkeypatch):
+        screen = self.table(1, {(0, 40): -1234.45, (0, 41): 17.0})
+        exact = self.table(1, {(0, 40): -1234.0, (0, 41): 17.0})
+        lag, value, calls, slow_rows = self.check(screen, exact, monkeypatch)
+        assert (lag[0], value[0], calls, slow_rows) == (40, -1234.0, [(0, [40])], [])
+
+    def test_an_all_zero_row(self):
+        lag, value, calls, _ = self.check(np.zeros((1, FFT_SIZE)), np.zeros((1, FFT_SIZE)))
+        assert (lag[0], value[0], calls) == (0, 0.0, [])
+
+    def test_a_mixed_chunk_maps_its_slow_rows_back(self, monkeypatch):
+        # rows 1 and 3 have two candidates each, near half-integers, and their
+        # exact values differ per row: a wrong row index gives a wrong peak
+        rng = np.random.default_rng(75)
+        screen = np.rint(rng.uniform(-100.0, 100.0, (5, FFT_SIZE)))
+        screen[0, 7], screen[2, 70], screen[4, 700] = 900.0, -800.0, 700.1
+        screen[1, [3, 30]] = [600.4, 600.45]
+        screen[3, [4, 40]] = [-500.45, 500.4]
+        exact = np.rint(screen)
+        exact[1, [3, 30]] = [600.0, 601.0]
+        exact[3, [4, 40]] = [-501.0, 500.0]
+        lag, value, calls, slow_rows = self.check(screen, exact, monkeypatch)
+        assert lag.tolist() == [7, 30, 70, 4, 700]
+        assert value.tolist() == [900.0, 601.0, -800.0, -501.0, 700.0]
+        # one call per run, with and without a workspace, on the two slow rows
+        assert sorted(calls) == [(1, [3, 30]), (3, [4, 40])] and slow_rows == [2, 2]
+
+
 class TestEncodeSegmentFixed:
     @pytest.mark.parametrize("value, message", [
         (np.nan, "non-finite sample nan at index 10"),
@@ -950,6 +1061,39 @@ class TestSubtract:
         np.testing.assert_array_equal(np.isinf(got_bound).any(axis=1), want_over)
         assert bool(flag) == want_flag == loud
         assert want_over.any() == loud and not want_over.all()
+
+    # (s_raw, window at the kernel's largest tap, -1.0): the product, then the
+    # residual, exactly at RAW_MAX and one unit past it, and a flagged s_raw
+    GATE = {
+        "product at RAW_MAX": (-RAW_MAX, 0, False),
+        "product past RAW_MAX": (RAW_MIN, 0, True),
+        "residual at RAW_MAX": (1000, RAW_MAX - 1000, False),
+        "residual past RAW_MAX": (1000, RAW_MAX - 999, True),
+        "s_raw at RAW_MAX": (RAW_MAX, 0, False),
+    }
+
+    @pytest.mark.parametrize("rows", [[name] for name in GATE] + [list(GATE)],
+                             ids=list(GATE) + ["all in one call"])
+    def test_both_sides_of_the_gate(self, bank, rows):
+        rng = np.random.default_rng(76)
+        kernel_raw = rng.integers(-(1 << 27), 1 << 27, (2, bank.kernel_length))
+        kernel_raw[:, 5] = -(1 << 28)  # the largest |tap|, -1.0
+        odd = dataclasses.replace(bank, samples_matrix=kernel_raw / 2.0 ** FRAC)
+        tables = fx._tables_for(odd)
+        np.testing.assert_array_equal(tables.tap_max, [1 << 28, 1 << 28])
+        s_raw = np.array([self.GATE[name][0] for name in rows], dtype=np.float64)
+        m = np.arange(len(rows)) % 2
+        window = np.zeros((len(rows), bank.kernel_length))
+        window[:, 5] = [self.GATE[name][1] for name in rows]
+        want_window, want_over, want_flag = split_product_subtract(tables, window, m, s_raw)
+        np.testing.assert_array_equal(want_over, [self.GATE[name][2] for name in rows])
+        flag = fx.SaturationFlag()
+        path = fx._Fixed(odd, EncoderConfig(sps=1, fixed=True), flag)
+        got_window = window.copy()
+        got_over = path.subtract(got_window, m, s_raw)
+        np.testing.assert_array_equal(got_window, want_window)
+        np.testing.assert_array_equal(got_over, want_over)
+        assert bool(flag) == want_flag
 
     def test_a_tap_of_four_is_rejected(self, bank):
         samples = bank.samples_matrix.copy()

@@ -182,6 +182,30 @@ class TestCodesToSpikes:
                 itp.codes_to_spikes([Code(m=0, tau=0, s=1.0), Code(m=m, tau=0, s=1.0)],
                                     channel_map, 696)
 
+    @pytest.mark.parametrize("m", [2 ** 63, -2 ** 63 - 1, 2 ** 70],
+                             ids=["2**63", "-2**63-1", "2**70"])
+    def test_kernel_index_past_int64_is_out_of_range(self, channel_map, m):
+        # a bare OverflowError before
+        with pytest.raises(ValueError, match=re.escape(f"kernel index {m} outside [0, 40)")):
+            itp.codes_to_spikes([Code(m=0, tau=0, s=1.0), Code(m=m, tau=0, s=1.0)],
+                                channel_map, 696)
+
+    @pytest.mark.parametrize("tau, shift", [(2 ** 63, 695), (-2 ** 63 - 1, 0), (2 ** 70, 695)],
+                             ids=["2**63", "-2**63-1", "2**70"])
+    def test_shift_past_int64_clamps(self, channel_map, tau, shift):
+        # a bare OverflowError before; the shift clamps into the segment as any other
+        codes = [Code(m=1, tau=3, s=1.0), Code(m=0, tau=tau, s=1.0, segment_index=2)]
+        spikes = itp.codes_to_spikes(codes, channel_map, 696)
+        assert spikes.time.tolist() == [3, 2 * 696 + shift]
+        assert spikes.channel.tolist() == [itp.channel_of(1, 1, channel_map),
+                                           itp.channel_of(0, 1, channel_map)]
+
+    def test_negative_segment_past_int64_named(self, channel_map):
+        with pytest.raises(ValueError, match=f"negative segment index {-2 ** 64}$"):
+            itp.codes_to_spikes([Code(m=0, tau=0, s=1.0, segment_index=-2 ** 63 - 1),
+                                 Code(m=0, tau=2 ** 63, s=1.0, segment_index=-2 ** 64)],
+                                channel_map, 696)
+
     def test_negative_segment_index(self, channel_map):
         with pytest.raises(ValueError, match="negative segment index -1"):
             itp.codes_to_spikes([Code(m=0, tau=0, s=1.0, segment_index=-1)],
